@@ -55,15 +55,34 @@ BM_CacheArrayLookup(benchmark::State &state)
 }
 BENCHMARK(BM_CacheArrayLookup);
 
+/**
+ * Reservation on a loaded bus, shaped like the simulator's: one-beat
+ * requests every 25 ns, every fourth booking a response beat 100 ns
+ * ahead. A few hundred past intervals stay inside the 10 us prune
+ * window and a few future ones lie beyond the request clock.
+ * (Overlapping requests would merge into one interval and hide the
+ * cost of a long list; see DESIGN.md §19.)
+ */
 void
 BM_ResourceAcquire(benchmark::State &state)
 {
+    constexpr Tick beat = 1250;
     Resource r("bench");
     Tick t = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(r.acquire(t, 10));
-        t += 7;
-    }
+    std::uint64_t i = 0;
+    auto request = [&] {
+        Tick at = t;
+        if (i++ % 4 == 3)
+            at += 100 * ticksPerNs;
+        else
+            t += 25 * ticksPerNs;
+        return r.acquire(at, beat);
+    };
+    // Fill the prune window before timing.
+    while (t < 20 * ticksPerUs)
+        request();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(request());
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ResourceAcquire);

@@ -1,22 +1,35 @@
 #!/usr/bin/env bash
 #
-# Build the `profile` preset (-O2 -g -fno-omit-frame-pointer) and run
-# a command under `perf record`, then print the hot-spot summary.
-# Frame pointers are kept so --call-graph fp unwinds without DWARF
-# cost; see DESIGN.md §13 for the fast-path work this flow measured.
+# Build a profiling tree and run a command under a sampling profiler,
+# then print the hot-spot summary.
+#
+# With `perf` on the host: build the `profile` preset (-O2 -g
+# -fno-omit-frame-pointer) and run under `perf record`; frame pointers
+# let --call-graph fp unwind without DWARF cost (DESIGN.md §13).
+#
+# Without it (e.g. a slim container): build the `gprof` preset (-O2 -g
+# -pg), run the command, and print the top 25 rows of the gprof flat
+# profile. gprof samples every thread of the process, so a sweep's
+# worker thread is covered; DESIGN.md §19 is an attribution made this
+# way.
 #
 # Usage: scripts/profile.sh [--bench NAME] [command args...]
-#   default command: build-profile/bench/micro_access
-#   --bench NAME is shorthand for build-profile/bench/NAME (e.g.
+#   default command: <tree>/bench/micro_access
+#   --bench NAME is shorthand for <tree>/bench/NAME (e.g.
 #   `scripts/profile.sh --bench micro_miss` profiles the miss path)
-#
-# Without a `perf` binary on the host (e.g. a slim container), the
-# command still runs under `time` so the flow degrades to a coarse
-# host-cost check instead of failing.
+#   <tree> is build-profile, or build-gprof on the gprof path; a
+#   command given as build-profile/... runs from build-gprof/ there.
 
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+if command -v perf >/dev/null 2>&1; then
+    preset=profile
+else
+    preset=gprof
+fi
+tree="build-${preset}"
 
 cmd=()
 if [ "${1:-}" = "--bench" ]; then
@@ -24,26 +37,32 @@ if [ "${1:-}" = "--bench" ]; then
         echo "usage: scripts/profile.sh --bench NAME [args...]" >&2
         exit 2
     fi
-    cmd=("build-profile/bench/$2")
+    cmd=("${tree}/bench/$2")
     shift 2
 fi
 cmd+=("$@")
-
-echo "==> configuring + building profile preset"
-cmake --preset profile >/dev/null
-cmake --build --preset profile -j "$(nproc)"
-
 if [ "${#cmd[@]}" -eq 0 ]; then
-    cmd=(build-profile/bench/micro_access)
+    cmd=("${tree}/bench/micro_access")
 fi
+cmd[0]="${cmd[0]/#build-profile\//${tree}/}"
 
-if ! command -v perf >/dev/null 2>&1; then
-    echo "==> perf(1) not found; running under time(1) instead" >&2
-    time "${cmd[@]}"
+echo "==> configuring + building ${preset} preset"
+cmake --preset "${preset}" >/dev/null
+cmake --build --preset "${preset}" -j "$(nproc)"
+
+if [ "${preset}" = gprof ]; then
+    echo "==> perf(1) not found; profiling with gprof: ${cmd[*]}" >&2
+    rm -f "${tree}"/gmon.*
+    # One gmon.<pid> per process that exits normally; gprof sums them.
+    GMON_OUT_PREFIX="${tree}/gmon" "${cmd[@]}"
+    echo
+    echo "==> gprof flat profile, top 25 (full: gprof -b ${cmd[0]} ${tree}/gmon.*)"
+    gprof -b -p "${cmd[0]}" "${tree}"/gmon.* |
+        awk '/^ +[0-9.]+ +[0-9.]+ +[0-9.]+/ { if (++n > 25) exit } { print }'
     exit 0
 fi
 
-out="build-profile/perf.data"
+out="${tree}/perf.data"
 echo "==> perf record: ${cmd[*]}"
 perf record -g --call-graph fp -o "${out}" -- "${cmd[@]}"
 echo

@@ -1,8 +1,10 @@
 #include "mem/resource.hh"
 
 #include <algorithm>
-#include <cassert>
+#include <iterator>
 #include <utility>
+
+#include "sim/sim_error.hh"
 
 namespace cmpmem
 {
@@ -18,8 +20,14 @@ Resource::prune(Tick earliest)
     if (earliest < pruneHorizon)
         return;
     Tick cutoff = earliest - pruneHorizon;
-    while (!busyList.empty() && busyList.front().end < cutoff)
-        busyList.pop_front();
+    while (head < busyList.size() && busyList[head].end < cutoff)
+        ++head;
+    // Drop the dead prefix once it outgrows the live part; each live
+    // interval moves at most once per interval pruned before it.
+    if (head > busyList.size() - head) {
+        busyList.erase(busyList.begin(), busyList.begin() + head);
+        head = 0;
+    }
 }
 
 Tick
@@ -34,33 +42,34 @@ Resource::acquire(Tick earliest, Tick occupancy)
 
     // First-fit gap search: transactions may reserve future slots
     // (e.g. a response beat) without blocking the idle time before
-    // them.
+    // them. Ends ascend, so the intervals already over by `earliest`
+    // form a prefix; every later one ends after any candidate start.
     Tick start = earliest;
-    auto pos = busyList.begin();
+    auto pos = std::partition_point(
+        busyList.begin() + head, busyList.end(),
+        [start](const Interval &iv) { return iv.end <= start; });
     for (; pos != busyList.end(); ++pos) {
-        if (pos->end <= start)
-            continue;
         if (pos->start >= start + occupancy)
             break; // gap before this interval fits
         start = pos->end;
     }
     waited += start - earliest;
 
-    // Insert (start, start+occupancy) before pos, merging neighbours.
-    Interval iv{start, start + occupancy};
-    auto it = busyList.insert(pos, iv);
-    if (it != busyList.begin()) {
-        auto prev = std::prev(it);
-        if (prev->end == it->start) {
-            prev->end = it->end;
-            it = busyList.erase(it);
-            it = std::prev(it);
-        }
-    }
-    auto next = std::next(it);
-    if (next != busyList.end() && it->end == next->start) {
-        it->end = next->end;
-        busyList.erase(next);
+    // Place [start, end) before pos, merging with the neighbours it
+    // touches.
+    Tick end = start + occupancy;
+    bool joinsPrev = pos != busyList.begin() + head &&
+                     std::prev(pos)->end == start;
+    bool joinsNext = pos != busyList.end() && pos->start == end;
+    if (joinsPrev && joinsNext) {
+        std::prev(pos)->end = pos->end;
+        busyList.erase(pos);
+    } else if (joinsPrev) {
+        std::prev(pos)->end = end;
+    } else if (joinsNext) {
+        pos->start = start;
+    } else {
+        busyList.insert(pos, Interval{start, end});
     }
     return start;
 }
@@ -68,13 +77,14 @@ Resource::acquire(Tick earliest, Tick occupancy)
 Tick
 Resource::nextFree() const
 {
-    return busyList.empty() ? 0 : busyList.back().end;
+    return head == busyList.size() ? 0 : busyList.back().end;
 }
 
 void
 Resource::reset()
 {
     busyList.clear();
+    head = 0;
     busy = 0;
     waited = 0;
     count = 0;
@@ -84,7 +94,10 @@ ChannelResource::ChannelResource(std::string name, std::uint32_t width_bytes,
                                  Tick beat_ticks)
     : Resource(std::move(name)), width(width_bytes), beat(beat_ticks)
 {
-    assert(width > 0 && beat > 0);
+    if (width == 0 || beat == 0)
+        throwSimError(SimErrorKind::Config,
+                      "%s: channel width and beat time must be positive",
+                      this->name().c_str());
 }
 
 Tick

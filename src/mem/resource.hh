@@ -14,9 +14,10 @@
 #ifndef CMPMEM_MEM_RESOURCE_HH
 #define CMPMEM_MEM_RESOURCE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "sim/types.hh"
 
@@ -31,9 +32,16 @@ namespace cmpmem
  * bus ~100 ns ahead). A single next-free cursor would make such a
  * future reservation block the idle gap before it and serialize
  * unrelated transactions; the busy-interval list with first-fit gap
- * search keeps the resource available in those gaps. Intervals far
- * in the past (beyond any possible issue-time skew) are pruned, so
- * the list stays short.
+ * search keeps the resource available in those gaps.
+ *
+ * The list keeps every reservation that ended within the last
+ * pruneHorizon (10 us): a few hundred intervals on a loaded bus or
+ * channel, and a request almost always lands after all but one or two
+ * of them. Intervals are disjoint, sorted and merged when adjacent, so
+ * their ends strictly ascend. The intervals that ended by the
+ * requested tick are therefore a prefix, skipped by binary search, and
+ * the first-fit walk starts at the first interval still busy; the
+ * result is identical to a walk from the front (DESIGN.md §19).
  */
 class Resource
 {
@@ -78,7 +86,9 @@ class Resource
     void prune(Tick earliest);
 
     std::string label;
-    std::deque<Interval> busyList;
+    /** Live intervals are busyList[head..]; the prefix is pruned. */
+    std::vector<Interval> busyList;
+    std::size_t head = 0;
     Tick busy = 0;
     Tick waited = 0;
     std::uint64_t count = 0;

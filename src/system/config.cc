@@ -23,6 +23,14 @@ SystemConfig::validate() const
     if (dram.bandwidthGBps <= 0)
         throwSimError(SimErrorKind::Config,
                       "DRAM bandwidth must be positive");
+    if (net.busWidthBytes == 0 || net.xbarWidthBytes == 0)
+        throwSimError(SimErrorKind::Config,
+                      "interconnect width must be positive (bus %u B, "
+                      "crossbar %u B)",
+                      net.busWidthBytes, net.xbarWidthBytes);
+    if (net.busBeat == 0 || net.xbarBeat == 0)
+        throwSimError(SimErrorKind::Config,
+                      "interconnect beat time must be positive");
     if (hwPrefetch && model == MemModel::STR)
         throwSimError(SimErrorKind::Config,
                       "hardware prefetching applies to the cache-based model");

@@ -120,6 +120,31 @@ TEST(Config, ValidateRejectsNonsense)
         EXPECT_NE(std::string(e.what()).find("core count"),
                   std::string::npos);
     }
+
+    // A zero interconnect width divides by zero in the channel
+    // occupancy and a zero beat makes transfers free; the interconnect
+    // ablation sweeps both widths.
+    auto expectRejected = [](void (*mutate)(SystemConfig &),
+                             const char *what, const char *why) {
+        SystemConfig c = makeConfig(4, MemModel::CC);
+        mutate(c);
+        try {
+            c.validate();
+            ADD_FAILURE() << "validate() accepted " << why;
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimErrorKind::Config) << why;
+            EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+                << e.what();
+        }
+    };
+    expectRejected([](SystemConfig &c) { c.net.busWidthBytes = 0; },
+                   "interconnect width", "a 0-byte bus");
+    expectRejected([](SystemConfig &c) { c.net.xbarWidthBytes = 0; },
+                   "interconnect width", "a 0-byte crossbar");
+    expectRejected([](SystemConfig &c) { c.net.busBeat = 0; },
+                   "beat time", "a 0-tick bus beat");
+    expectRejected([](SystemConfig &c) { c.net.xbarBeat = 0; },
+                   "beat time", "a 0-tick crossbar beat");
 }
 
 } // namespace

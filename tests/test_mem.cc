@@ -10,7 +10,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <iterator>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "check/coherence_checker.hh"
@@ -661,6 +664,246 @@ TEST(Resource, SerializesOverlappingAcquisitions)
     EXPECT_EQ(r.acquisitions(), 3u);
 }
 
+/**
+ * The original deque-based Resource, kept verbatim as the oracle for
+ * the binary-search version: prune from the front, first-fit walk
+ * from the front, insert then merge with the neighbours.
+ */
+class ReferenceResource
+{
+  public:
+    static constexpr Tick pruneHorizon = 10 * ticksPerUs;
+
+    Tick
+    acquire(Tick earliest, Tick occupancy)
+    {
+        ++count;
+        busy += occupancy;
+        prune(earliest);
+
+        if (occupancy == 0)
+            return std::max(earliest, Tick(0));
+
+        Tick start = earliest;
+        auto pos = busyList.begin();
+        for (; pos != busyList.end(); ++pos) {
+            if (pos->end <= start)
+                continue;
+            if (pos->start >= start + occupancy)
+                break;
+            start = pos->end;
+        }
+        waited += start - earliest;
+
+        Interval iv{start, start + occupancy};
+        auto it = busyList.insert(pos, iv);
+        if (it != busyList.begin()) {
+            auto prev = std::prev(it);
+            if (prev->end == it->start) {
+                prev->end = it->end;
+                it = busyList.erase(it);
+                it = std::prev(it);
+            }
+        }
+        auto next = std::next(it);
+        if (next != busyList.end() && it->end == next->start) {
+            it->end = next->end;
+            busyList.erase(next);
+        }
+        return start;
+    }
+
+    Tick nextFree() const
+    {
+        return busyList.empty() ? 0 : busyList.back().end;
+    }
+    Tick busyTicks() const { return busy; }
+    Tick waitTicks() const { return waited; }
+    std::uint64_t acquisitions() const { return count; }
+
+    void
+    reset()
+    {
+        busyList.clear();
+        busy = 0;
+        waited = 0;
+        count = 0;
+    }
+
+    struct Interval
+    {
+        Tick start;
+        Tick end;
+    };
+    const std::deque<Interval> &intervals() const { return busyList; }
+
+  private:
+    void
+    prune(Tick earliest)
+    {
+        if (earliest < pruneHorizon)
+            return;
+        Tick cutoff = earliest - pruneHorizon;
+        while (!busyList.empty() && busyList.front().end < cutoff)
+            busyList.pop_front();
+    }
+
+    std::deque<Interval> busyList;
+    Tick busy = 0;
+    Tick waited = 0;
+    std::uint64_t count = 0;
+};
+
+/**
+ * Drive Resource and the reference with one seeded request stream and
+ * require identical results and counters after every call. @p step
+ * bounds the forward drift of the request clock per call, which sets
+ * the load: small steps oversubscribe the resource, large ones leave
+ * it mostly idle. @p longest is raised to the longest live list the
+ * stream built.
+ */
+void
+diffAgainstReference(std::uint64_t seed, Tick step, int calls,
+                     std::size_t &longest)
+{
+    constexpr Tick horizon = ReferenceResource::pruneHorizon;
+    constexpr Tick beat = 1250;
+    Rng rng(seed);
+    Resource r("diff");
+    ReferenceResource ref;
+    Tick now = 0;
+    for (int i = 0; i < calls; ++i) {
+        now += rng.nextBelow(step);
+        // Beat-aligned times and occupancies make exact fits and
+        // adjacent merges common, as on a real bus.
+        Tick earliest = now / beat * beat;
+        Tick occupancy = beat * (1 + rng.nextBelow(4));
+        std::uint64_t kind = rng.nextBelow(100);
+        if (kind < 6) {
+            occupancy = 0;
+        } else if (kind < 12) {
+            // Backward skew inside the prune horizon.
+            earliest -= std::min(earliest, rng.nextBelow(horizon));
+        } else if (kind < 14) {
+            // Backward skew beyond it: pruned history no longer blocks.
+            earliest -= std::min(earliest, rng.nextBelow(3 * horizon));
+        } else if (kind < 22) {
+            // Future reservation (a response beat, a DMA burst).
+            earliest += rng.nextBelow(horizon / 4);
+        } else if (kind < 25 && ref.intervals().size() >= 2) {
+            // Exact fit into an existing gap: next.start == start +
+            // occupancy, which joins both neighbours.
+            const auto &ivs = ref.intervals();
+            std::size_t k = rng.nextBelow(ivs.size() - 1);
+            earliest = ivs[k].end;
+            occupancy = ivs[k + 1].start - ivs[k].end;
+        } else if (kind == 25 && rng.nextBelow(20) == 0) {
+            // Far future, beyond the horizon: prunes the whole past.
+            earliest += horizon + rng.nextBelow(2 * horizon);
+        } else if (kind == 26 && rng.nextBelow(50) == 0) {
+            r.reset();
+            ref.reset();
+        }
+        longest = std::max(longest, ref.intervals().size());
+
+        Tick got = r.acquire(earliest, occupancy);
+        Tick want = ref.acquire(earliest, occupancy);
+        ASSERT_EQ(got, want) << "call " << i << " earliest " << earliest
+                             << " occupancy " << occupancy;
+        ASSERT_EQ(r.busyTicks(), ref.busyTicks()) << "call " << i;
+        ASSERT_EQ(r.waitTicks(), ref.waitTicks()) << "call " << i;
+        ASSERT_EQ(r.acquisitions(), ref.acquisitions()) << "call " << i;
+        ASSERT_EQ(r.nextFree(), ref.nextFree()) << "call " << i;
+    }
+}
+
+TEST(Resource, MatchesReferenceOnRandomStreams)
+{
+    // Mean occupancy is ~2900 ticks. step 3000 (mean gap 1500)
+    // oversubscribes the resource, 8000 loads it to ~70%, and the
+    // larger steps leave idle gaps between hundreds of live intervals.
+    std::size_t longest = 0;
+    for (Tick step : {Tick(3000), Tick(8000), Tick(20000), Tick(40000)})
+        for (std::uint64_t seed = 1; seed <= 4; ++seed)
+            diffAgainstReference(seed * 7919 + step, step, 20000, longest);
+    // The streams must build the long past-interval lists the binary
+    // search exists for, not a single merged interval.
+    EXPECT_GT(longest, 300u);
+}
+
+TEST(Resource, ThreeWayMergeJoinsBothNeighbours)
+{
+    Resource r("r");
+    EXPECT_EQ(r.acquire(0, 100), 0u);
+    EXPECT_EQ(r.acquire(200, 100), 200u);
+    EXPECT_EQ(r.acquire(100, 100), 100u); // fills [100, 200) exactly
+    EXPECT_EQ(r.nextFree(), 300u);
+    // One interval [0, 300) remains: nothing fits before 300.
+    EXPECT_EQ(r.acquire(0, 1), 300u);
+    EXPECT_EQ(r.waitTicks(), 300u);
+}
+
+TEST(Resource, FillsGapBeforeFutureReservation)
+{
+    Resource r("r");
+    EXPECT_EQ(r.acquire(1000, 100), 1000u); // future [1000, 1100)
+    EXPECT_EQ(r.acquire(0, 100), 0u);       // idle time before it
+    EXPECT_EQ(r.acquire(0, 900), 100u);     // exact fit [100, 1000)
+    EXPECT_EQ(r.acquire(0, 1), 1100u);      // no gap left
+    EXPECT_EQ(r.acquire(2000, 50), 2000u);
+    EXPECT_EQ(r.acquire(1100, 901), 2050u); // 899-tick gap too small
+    EXPECT_EQ(r.nextFree(), 2951u);
+    EXPECT_EQ(r.waitTicks(), 100u + 1100u + 950u);
+}
+
+TEST(Resource, NextFreeAfterPruning)
+{
+    constexpr Tick horizon = 10 * ticksPerUs;
+    Resource r("r");
+    EXPECT_EQ(r.acquire(0, 100), 0u);
+    EXPECT_EQ(r.nextFree(), 100u);
+    // Still within the horizon of a request at horizon + 100.
+    EXPECT_EQ(r.acquire(horizon + 100, 0), horizon + 100);
+    EXPECT_EQ(r.nextFree(), 100u);
+    // A request at horizon + 101 prunes [0, 100): the list is empty.
+    EXPECT_EQ(r.acquire(horizon + 101, 0), horizon + 101);
+    EXPECT_EQ(r.nextFree(), 0u);
+    // Pruned history no longer blocks a (pathologically) late request.
+    EXPECT_EQ(r.acquire(0, 100), 0u);
+    EXPECT_EQ(r.nextFree(), 100u);
+    EXPECT_EQ(r.waitTicks(), 0u);
+    EXPECT_EQ(r.acquisitions(), 4u);
+}
+
+TEST(Resource, LateRequestBesidePrunedIntervalIsKept)
+{
+    constexpr Tick horizon = 10 * ticksPerUs;
+    Resource r("r");
+    EXPECT_EQ(r.acquire(0, 100), 0u);
+    EXPECT_EQ(r.acquire(5000, 100), 5000u);
+    EXPECT_EQ(r.acquire(horizon + 200, 100), horizon + 200); // prunes [0, 100)
+    // A late request starting where the pruned interval ended must
+    // become a live reservation of its own, not extend a dead one.
+    EXPECT_EQ(r.acquire(100, 50), 100u);
+    EXPECT_EQ(r.acquire(100, 50), 150u);
+    EXPECT_EQ(r.waitTicks(), 50u);
+}
+
+TEST(Resource, ResetClearsIntervalsAndCounters)
+{
+    Resource r("r");
+    for (Tick t = 0; t < 100 * ticksPerUs; t += 1000)
+        r.acquire(t, 500);
+    r.acquire(0, 700);
+    r.reset();
+    EXPECT_EQ(r.busyTicks(), 0u);
+    EXPECT_EQ(r.waitTicks(), 0u);
+    EXPECT_EQ(r.acquisitions(), 0u);
+    EXPECT_EQ(r.nextFree(), 0u);
+    EXPECT_EQ(r.acquire(0, 10), 0u);
+    EXPECT_EQ(r.nextFree(), 10u);
+}
+
 TEST(ChannelResource, OccupancyScalesWithBytes)
 {
     ChannelResource ch("ch", 16, 100); // 16 B per 100-tick beat
@@ -668,6 +911,20 @@ TEST(ChannelResource, OccupancyScalesWithBytes)
     EXPECT_EQ(ch.transferTicks(17), 200u); // rounds up to beats
     ch.acquireTransfer(0, 32);
     EXPECT_EQ(ch.bytesMoved(), 32u);
+}
+
+TEST(ChannelResource, ZeroWidthOrBeatIsAConfigError)
+{
+    for (auto [width, beat] : {std::pair<std::uint32_t, Tick>{0, 100},
+                               std::pair<std::uint32_t, Tick>{16, 0}}) {
+        try {
+            ChannelResource ch("bus0", width, beat);
+            ADD_FAILURE() << "accepted width " << width << " beat " << beat;
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimErrorKind::Config);
+            EXPECT_NE(std::string(e.what()).find("bus0"), std::string::npos);
+        }
+    }
 }
 
 //

@@ -383,6 +383,37 @@ TEST(SweepExecutor, FailingJobDoesNotPoisonSiblings)
     EXPECT_EQ(res.find("no-such-job"), nullptr);
 }
 
+TEST(SweepExecutor, ZeroInterconnectWidthFailsOnlyItsPoint)
+{
+    // A zero bus width is a config error of that one point (DESIGN.md
+    // §11), not a process abort or a division by zero in the channel.
+    WorkloadParams tiny;
+    tiny.scale = 0;
+    SweepSpec spec("zero_width");
+    spec.base(makeConfig(2, MemModel::CC))
+        .baseParams(tiny)
+        .workloads({"fir"})
+        .axis(
+            "bus_width", {0, 32},
+            [](SystemConfig &cfg, double v) {
+                cfg.net.busWidthBytes = std::uint32_t(v);
+            },
+            0);
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.echoLogs = false;
+    opts.isolate = SweepIsolate::Off;
+    SweepResult res = runSweep(spec, opts);
+
+    const JobResult &bad = res.at("fir/bus_width=0");
+    EXPECT_FALSE(bad.ran);
+    EXPECT_EQ(bad.errorKind, "config");
+    EXPECT_NE(bad.error.find("interconnect width"), std::string::npos)
+        << bad.error;
+    EXPECT_TRUE(res.at("fir/bus_width=32").ran);
+    EXPECT_TRUE(res.at("fir/bus_width=32").run.verified);
+}
+
 TEST(SweepExecutor, CapturesWarningsPerJob)
 {
     SweepJob j;
