@@ -10,15 +10,22 @@
 # Without it (e.g. a slim container): build the `gprof` preset (-O2 -g
 # -pg), run the command, and print the top 25 rows of the gprof flat
 # profile. gprof samples every thread of the process, so a sweep's
-# worker thread is covered; DESIGN.md §19 is an attribution made this
-# way.
+# worker thread is covered; DESIGN.md §19 and §20 are attributions
+# made this way.
 #
 # Usage: scripts/profile.sh [--bench NAME] [command args...]
+#        scripts/profile.sh --workload NAME [cmpmem_bench args...]
 #   default command: <tree>/bench/micro_access
 #   --bench NAME is shorthand for <tree>/bench/NAME (e.g.
 #   `scripts/profile.sh --bench micro_miss` profiles the miss path)
 #   <tree> is build-profile, or build-gprof on the gprof path; a
 #   command given as build-profile/... runs from build-gprof/ there.
+#   --workload NAME profiles one workload of the host-cost benchmark
+#   (benchmark/README.md): it configures benchmark/ with run.sh's
+#   Release build type plus the preset's flags into
+#   build-bench-profile/ or build-bench-gprof/, and runs
+#   `cmpmem_bench --workload NAME --seconds 10` there (e.g.
+#   `scripts/profile.sh --workload compute_bound`).
 
 set -euo pipefail
 
@@ -26,29 +33,48 @@ cd "$(dirname "$0")/.."
 
 if command -v perf >/dev/null 2>&1; then
     preset=profile
+    flags="-O2 -g -fno-omit-frame-pointer"
 else
     preset=gprof
+    flags="-O2 -g -pg"
 fi
-tree="build-${preset}"
 
 cmd=()
-if [ "${1:-}" = "--bench" ]; then
+if [ "${1:-}" = "--workload" ]; then
     if [ -z "${2:-}" ]; then
-        echo "usage: scripts/profile.sh --bench NAME [args...]" >&2
+        echo "usage: scripts/profile.sh --workload NAME [args...]" >&2
         exit 2
     fi
-    cmd=("${tree}/bench/$2")
+    tree="build-bench-${preset}"
+    echo "==> configuring + building benchmark/ into ${tree} (${flags})"
+    cmake -S benchmark -B "${tree}" -DCMAKE_BUILD_TYPE=Release \
+        -DCMAKE_CXX_FLAGS="${flags}" >/dev/null
+    cmake --build "${tree}" --target cmpmem_bench -j "$(nproc)"
+    mkdir -p "${tree}/out"
+    cmd=("${tree}/cmpmem_bench" --workload "$2" --seconds 10
+         --out "${tree}/out" --expected benchmark/expected_digests.json)
     shift 2
-fi
-cmd+=("$@")
-if [ "${#cmd[@]}" -eq 0 ]; then
-    cmd=("${tree}/bench/micro_access")
-fi
-cmd[0]="${cmd[0]/#build-profile\//${tree}/}"
+    cmd+=("$@")
+else
+    tree="build-${preset}"
+    if [ "${1:-}" = "--bench" ]; then
+        if [ -z "${2:-}" ]; then
+            echo "usage: scripts/profile.sh --bench NAME [args...]" >&2
+            exit 2
+        fi
+        cmd=("${tree}/bench/$2")
+        shift 2
+    fi
+    cmd+=("$@")
+    if [ "${#cmd[@]}" -eq 0 ]; then
+        cmd=("${tree}/bench/micro_access")
+    fi
+    cmd[0]="${cmd[0]/#build-profile\//${tree}/}"
 
-echo "==> configuring + building ${preset} preset"
-cmake --preset "${preset}" >/dev/null
-cmake --build --preset "${preset}" -j "$(nproc)"
+    echo "==> configuring + building ${preset} preset"
+    cmake --preset "${preset}" >/dev/null
+    cmake --build --preset "${preset}" -j "$(nproc)"
+fi
 
 if [ "${preset}" = gprof ]; then
     echo "==> perf(1) not found; profiling with gprof: ${cmd[*]}" >&2
@@ -57,8 +83,10 @@ if [ "${preset}" = gprof ]; then
     GMON_OUT_PREFIX="${tree}/gmon" "${cmd[@]}"
     echo
     echo "==> gprof flat profile, top 25 (full: gprof -b ${cmd[0]} ${tree}/gmon.*)"
+    # awk reads to the end: exiting early would fail the pipeline
+    # with SIGPIPE under pipefail.
     gprof -b -p "${cmd[0]}" "${tree}"/gmon.* |
-        awk '/^ +[0-9.]+ +[0-9.]+ +[0-9.]+/ { if (++n > 25) exit } { print }'
+        awk '/^ +[0-9.]+ +[0-9.]+ +[0-9.]+/ { ++n } n <= 25'
     exit 0
 fi
 

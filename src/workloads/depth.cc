@@ -13,8 +13,10 @@
  *  - STR: DMAs the same pixels into the local store.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -34,38 +36,77 @@ constexpr int kWin = 8; ///< per-pixel SAD window
  *  3-slot VLIW (abs-diff + accumulate pairs) plus argmin logic. */
 constexpr Cycles kPixelCycles = 360;
 
-/**
- * Dense per-pixel disparity for one pixel of a 32x32 block, given
- * the block-local left buffer and the right search strip. Runs
- * identically in the host reference and (on loaded values) in the
- * kernel, so outputs verify bit-exactly. The SAD window is clamped
- * inside the block so only fetched data is used.
- */
-std::uint8_t
-bestDisparityForPixel(const std::uint8_t *lbuf, const std::uint8_t *rbuf,
-                      int strip_cols, int px, int py)
+} // namespace
+
+void
+blockDisparities(const std::uint8_t *lbuf, const std::uint8_t *rbuf,
+                 int strip_cols, std::uint8_t *out)
 {
-    int wx = std::min(std::max(px - kWin / 2, 0), kBlock - kWin);
-    int wy = std::min(std::max(py - kWin / 2, 0), kBlock - kWin);
-    std::uint64_t best = ~0ull;
-    int bestD = 0;
+    // Window origins are clamped to [0, kSpan) on each axis, so the
+    // block's 1024 pixels share only kSpan x kSpan distinct windows.
+    constexpr int kSpan = kBlock - kWin + 1;
+    constexpr int kPadCols = kBlock + kMaxDisp - 1;
+
+    // The right strip with its last column repeated out to every
+    // column a shifted window can reach.
+    std::uint8_t rpad[kBlock][kPadCols];
+    for (int y = 0; y < kBlock; ++y) {
+        for (int c = 0; c < kPadCols; ++c)
+            rpad[y][c] =
+                rbuf[y * strip_cols + std::min(c, strip_cols - 1)];
+    }
+
+    // SADs are at most 64 * 255, so 16 bits hold every sum exactly.
+    std::uint16_t best[kSpan][kSpan];
+    std::uint8_t bestD[kSpan][kSpan] = {};
+    std::fill(&best[0][0], &best[0][0] + kSpan * kSpan,
+              std::uint16_t(0xffff));
+    std::uint16_t rowSum[kBlock][kSpan];
     for (int d = 0; d < kMaxDisp; ++d) {
-        std::uint64_t sad = 0;
-        for (int y = 0; y < kWin; ++y) {
-            for (int x = 0; x < kWin; ++x) {
-                int rc = std::min(wx + x + d, strip_cols - 1);
-                sad += std::uint64_t(
-                    std::abs(int(lbuf[(wy + y) * kBlock + wx + x]) -
-                             int(rbuf[(wy + y) * strip_cols + rc])));
+        // Row-slide 8-wide sums of the absolute-difference image.
+        for (int y = 0; y < kBlock; ++y) {
+            std::uint16_t diff[kBlock];
+            for (int x = 0; x < kBlock; ++x)
+                diff[x] = std::uint16_t(std::abs(
+                    int(lbuf[y * kBlock + x]) - int(rpad[y][x + d])));
+            std::uint16_t s = 0;
+            for (int x = 0; x < kWin - 1; ++x)
+                s = std::uint16_t(s + diff[x]);
+            for (int wx = 0; wx < kSpan; ++wx) {
+                s = std::uint16_t(s + diff[wx + kWin - 1]);
+                rowSum[y][wx] = s;
+                s = std::uint16_t(s - diff[wx]);
             }
         }
-        if (sad < best) {
-            best = sad;
-            bestD = d;
+        // Column-slide them into window SADs. Strict < while d
+        // ascends keeps the first minimum, as a per-pixel scan does.
+        std::uint16_t sad[kSpan] = {};
+        for (int y = 0; y < kWin - 1; ++y) {
+            for (int wx = 0; wx < kSpan; ++wx)
+                sad[wx] = std::uint16_t(sad[wx] + rowSum[y][wx]);
+        }
+        for (int wy = 0; wy < kSpan; ++wy) {
+            for (int wx = 0; wx < kSpan; ++wx) {
+                auto s = std::uint16_t(sad[wx] + rowSum[wy + kWin - 1][wx]);
+                bool better = s < best[wy][wx];
+                best[wy][wx] = better ? s : best[wy][wx];
+                bestD[wy][wx] = better ? std::uint8_t(d) : bestD[wy][wx];
+                sad[wx] = std::uint16_t(s - rowSum[wy][wx]);
+            }
         }
     }
-    return std::uint8_t(bestD);
+
+    for (int py = 0; py < kBlock; ++py) {
+        int wy = std::clamp(py - kWin / 2, 0, kSpan - 1);
+        for (int px = 0; px < kBlock; ++px) {
+            int wx = std::clamp(px - kWin / 2, 0, kSpan - 1);
+            out[py * kBlock + px] = bestD[wy][wx];
+        }
+    }
 }
+
+namespace
+{
 
 class DepthWorkload : public Workload
 {
@@ -119,10 +160,8 @@ class DepthWorkload : public Workload
                 }
             }
         }
-        for (std::uint64_t i = 0; i < hostLeft.size(); ++i) {
-            mem.write<std::uint8_t>(left.at(i), hostLeft[i]);
-            mem.write<std::uint8_t>(right.at(i), hostRight[i]);
-        }
+        mem.write(left.base, hostLeft.data(), hostLeft.size());
+        mem.write(right.base, hostRight.data(), hostRight.size());
     }
 
     KernelTask kernel(Context &ctx) override { return kern(ctx); }
@@ -136,6 +175,7 @@ class DepthWorkload : public Workload
         const int strip = kBlock + kMaxDisp;
         std::vector<std::uint8_t> lbuf(kBlock * kBlock);
         std::vector<std::uint8_t> rbuf(std::size_t(strip) * kBlock);
+        std::vector<std::uint8_t> want(kBlock * kBlock);
         for (std::uint32_t p = 0; p < pairs; ++p) {
             for (int by = 0; by < bh; ++by) {
                 for (int bx = 0; bx < bw; ++bx) {
@@ -150,13 +190,13 @@ class DepthWorkload : public Workload
                             rbuf[y * rxMax + x] = hostRight[pixelIndex(
                                 p, lx0 + x, ly0 + y)];
                     }
+                    blockDisparities(lbuf.data(), rbuf.data(), rxMax,
+                                     want.data());
                     for (int y = 0; y < kBlock; ++y) {
                         for (int x = 0; x < kBlock; ++x) {
-                            auto want = bestDisparityForPixel(
-                                lbuf.data(), rbuf.data(), rxMax, x, y);
                             auto got = mem.read<std::uint8_t>(disp.at(
                                 pixelIndex(p, lx0 + x, ly0 + y)));
-                            if (got != want)
+                            if (got != want[y * kBlock + x])
                                 return false;
                         }
                     }
@@ -191,6 +231,7 @@ class DepthWorkload : public Workload
 
         std::vector<std::uint8_t> lbuf(kBlock * kBlock);
         std::vector<std::uint8_t> rbuf(std::size_t(strip) * kBlock);
+        std::vector<std::uint8_t> dmap(kBlock * kBlock);
 
         for (std::uint64_t b = r.begin; b < r.end; ++b) {
             std::uint32_t p = std::uint32_t(b / (std::uint64_t(bh) * bw));
@@ -243,18 +284,16 @@ class DepthWorkload : public Workload
 
             // Dense per-pixel disparity over the block: every
             // pixel runs a windowed SAD across the disparity range
-            // (in-register compute on the fetched block data).
+            // (in-register compute on the fetched block data). The
+            // host computes the whole map at once; the simulated
+            // core is charged per pixel.
+            blockDisparities(lbuf.data(), rbuf.data(), rxMax,
+                             dmap.data());
             for (int y = 0; y < kBlock; ++y) {
                 for (int x = 0; x < kBlock; x += 4) {
-                    std::uint8_t d4[4];
-                    for (int k = 0; k < 4; ++k) {
-                        d4[k] = bestDisparityForPixel(
-                            lbuf.data(), rbuf.data(), rxMax, x + k,
-                            y);
-                    }
                     co_await ctx.compute(4 * kPixelCycles);
                     std::uint32_t w;
-                    std::memcpy(&w, d4, 4);
+                    std::memcpy(&w, &dmap[y * kBlock + x], 4);
                     co_await ctx.storeNA<std::uint32_t>(
                         disp.at(pixelIndex(p, lx0 + x, ly0 + y)), w);
                 }

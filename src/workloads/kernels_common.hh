@@ -75,6 +75,22 @@ splitRange(std::uint64_t n, int tid, int nthreads)
 void forwardTransform8x8(std::int32_t *blk);
 void inverseTransform8x8(std::int32_t *blk);
 
+/**
+ * Dense disparity map of one 32x32 stereo block (the depth
+ * workload's search, defined in depth.cc). For each pixel, the
+ * disparity d in [0, 16) that minimizes the sum of absolute
+ * differences between an 8x8 window of the left block and the same
+ * window of the right strip shifted right by d, with strip columns
+ * clamped to the last one; the first such d on ties. The window's
+ * origin is the pixel minus 4, clamped so the window stays inside the
+ * block. @p lbuf is the left block (32 rows of 32 bytes), @p rbuf the
+ * right strip (32 rows of @p strip_cols bytes, 1 <= strip_cols <=
+ * 48), @p out receives the 32x32 map. Pure; its working buffers live
+ * on the stack.
+ */
+void blockDisparities(const std::uint8_t *lbuf, const std::uint8_t *rbuf,
+                      int strip_cols, std::uint8_t *out);
+
 /** FNV-1a checksum over a simulated-memory range (untimed). */
 std::uint64_t checksumMem(FunctionalMemory &mem, Addr addr,
                           std::uint64_t bytes);
