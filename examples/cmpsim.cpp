@@ -128,23 +128,11 @@ runOne(const Options &o, const std::string &name, bool header)
                     name.c_str(), o.cfg.cores, o.cfg.coreClockGhz,
                     to_string(o.cfg.model), o.cfg.dram.bandwidthGBps);
         std::printf("exec %.3f ms | energy %s | verified=%s | host "
-                    "%.2f s\n",
+                    "%.2f s\n%s\n",
                     r.stats.execSeconds() * 1e3,
                     r.energy.format().c_str(),
-                    r.verified ? "yes" : "NO", r.hostSeconds);
-        if (r.stats.hostThreads > 1) {
-            std::printf("host threads %d | windows %llu (parallel "
-                        "%llu) | barrier wait %.2f s | %.1f Mevents/s\n",
-                        r.stats.hostThreads,
-                        (unsigned long long)r.stats.hostWindows,
-                        (unsigned long long)r.stats.hostParallelWindows,
-                        r.stats.hostBarrierWaitSeconds,
-                        r.hostSeconds > 0
-                            ? double(r.stats.eventsExecuted) /
-                                  r.hostSeconds * 1e-6
-                            : 0.0);
-        }
-        std::printf("%s\n", s.format().c_str());
+                    r.verified ? "yes" : "NO", r.hostSeconds,
+                    s.format().c_str());
     }
     return r.verified ? 0 : 1;
 }

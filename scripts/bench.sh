@@ -9,9 +9,6 @@
 #   CMPMEM_JOBS      sweep worker count (default: hardware concurrency)
 #   CMPMEM_ISOLATE   1 = run every sweep job in a forked sandbox
 #                    (DESIGN.md §16)
-#   CMPMEM_RUN_JOBS  intra-run host threads per simulation
-#                    (DESIGN.md §17); stats are bit-identical at any
-#                    value, only host_seconds moves
 #
 # Flags:
 #   --resume       pick up where a killed run left off: each sweep
@@ -19,11 +16,8 @@
 #                  (BENCH_<name>.journal.jsonl) instead of re-running
 #                  them. The merged artifact is bit-identical to an
 #                  uninterrupted run's.
-#   --run-jobs=N   shorthand for CMPMEM_RUN_JOBS=N (per-run sharding
-#                  axis; the sweep engine caps it against its own
-#                  worker pool so the two levels compose)
 #
-# Usage: scripts/bench.sh [--resume] [--run-jobs=N] [jobs]
+# Usage: scripts/bench.sh [--resume] [jobs]
 #        (jobs = build parallelism)
 
 set -euo pipefail
@@ -35,10 +29,9 @@ jobs="$(nproc)"
 for arg in "$@"; do
     case "${arg}" in
         --resume) resume=1 ;;
-        --run-jobs=*) export CMPMEM_RUN_JOBS="${arg#--run-jobs=}" ;;
         [0-9]*) jobs="${arg}" ;;
         *)
-            echo "usage: scripts/bench.sh [--resume] [--run-jobs=N] [jobs]" >&2
+            echo "usage: scripts/bench.sh [--resume] [jobs]" >&2
             exit 2
             ;;
     esac
@@ -63,7 +56,6 @@ benches=(
     micro_events
     micro_access
     micro_miss
-    micro_parallel
     microbench
 )
 

@@ -16,14 +16,13 @@
 # supervisor suites with CMPMEM_ISOLATE=1 (every job in a forked
 # sandbox, plus the kill-then-resume gate; DESIGN.md §16), then
 # builds and runs everything again under AddressSanitizer + UBSan
-# (CMPMEM_SANITIZE=ON), runs the thread-safety subset (the parallel
-# intra-run engine and the sweep executor) under ThreadSanitizer
-# (CMPMEM_SANITIZE=thread), and
-# finishes with a widened fault-injection stress pass
-# (CMPMEM_FAULT_SCALE=2) in the sanitizer tree — the recovery paths
-# (ECC re-reads, NACK/DMA retries, watchdog kills) are exactly where
-# latent lifetime bugs hide. All passes must be green before a change
-# ships.
+# (CMPMEM_SANITIZE=ON), runs the sweep-executor suite (the inter-job
+# worker pool, the only code that runs host threads) under
+# ThreadSanitizer (CMPMEM_SANITIZE=thread), and finishes with a
+# widened fault-injection stress pass (CMPMEM_FAULT_SCALE=2) in the
+# sanitizer tree — the recovery paths (ECC re-reads, NACK/DMA
+# retries, watchdog kills) are exactly where latent lifetime bugs
+# hide. All passes must be green before a change ships.
 #
 # --update-baselines: regenerate baselines/BENCH_*.json from the
 # current tree (Release, CMPMEM_SCALE=0, no iteration divisor) and
@@ -38,7 +37,7 @@ cd "$(dirname "$0")/.."
 
 # The benches with committed baselines; keep in step with the
 # cmpmem_gate() entries in bench/CMakeLists.txt and DESIGN.md §14.
-gate_benches="micro_events micro_access micro_miss micro_parallel table3 policy_space fig2_scaling fig3_traffic"
+gate_benches="micro_events micro_access micro_miss table3 policy_space fig2_scaling fig3_traffic"
 
 full=0
 update=0
@@ -139,15 +138,15 @@ if [[ "${full}" -eq 1 ]]; then
     echo "==> fault-injection stress pass (sanitized, scale 2)"
     CMPMEM_FAULT_SCALE=2 ctest --test-dir build-sanitize \
         --output-on-failure -j "${jobs}" -R test_faults_stress
-    echo "==> thread-sanitizer pass (parallel engine + sweep executor)"
-    # TSan and ASan cannot share a build; a third tree covers the two
-    # suites that actually run host threads — the intra-run parallel
-    # engine (DESIGN.md §17) and the inter-job sweep pool (§16).
+    echo "==> thread-sanitizer pass (sweep executor)"
+    # TSan and ASan cannot share a build; a third tree covers the one
+    # suite that actually runs host threads — the inter-job sweep
+    # pool (DESIGN.md §10, §16). A single simulation is one thread.
     cmake -S . -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=Release \
         -DCMPMEM_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "${jobs}"
     ctest --test-dir build-tsan --output-on-failure -j "${jobs}" \
-        -R 'test_parallel|test_sweep'
+        -R 'test_sweep'
     echo "==> all configurations green"
 else
     run_config build "-LE long|perf" -DCMAKE_BUILD_TYPE=Release

@@ -17,31 +17,6 @@ Context::Context(Core &core, FunctionalMemory &mem, int tid, int nthreads,
 ValueAwait<std::uint32_t>
 Context::atomicFetchAdd32(Addr addr, std::int32_t delta)
 {
-    if (deferActive()) {
-        // Both the functional RMW and the timed path touch shared
-        // state; the whole operation replays at this event's key.
-        recordOp([this, addr, delta] {
-            auto old = fmem.read<std::uint32_t>(addr);
-            fmem.write<std::uint32_t>(
-                addr, old + std::uint32_t(std::int64_t(delta)));
-            deferSlot = old;
-            ++c.statsMut().atomics;
-            c.applySnoopStalls();
-            c.advanceIssue();
-            c.beginWait(StallCat::Sync);
-            if (c.model() == MemModel::CC) {
-                c.dcache()->atomic(c.now(), addr, c.waitCallback());
-            } else {
-                CoherenceFabric *fab = c.fabric();
-                Tick done = fab->remoteAtomic(c.now(),
-                                              fab->clusterOf(c.id()),
-                                              addr & ~Addr(31));
-                c.finishWait(done);
-            }
-        });
-        return {&c, 0, &deferSlot};
-    }
-
     // Functional effect in core-issue order; see DESIGN.md on quantum
     // skew. Data-race-free kernels only reach a shared counter
     // through this path, which serializes them.
@@ -73,16 +48,6 @@ Context::prefetchBlock(Addr addr, std::uint32_t bytes)
     constexpr Addr line = 32;
     Addr first = addr & ~(line - 1);
     Addr last = (addr + bytes - 1) & ~(line - 1);
-    if (deferActive()) {
-        // Issue timing is local; each prefetch probe is a shared-L1
-        // touch, fire-and-forget at the issue tick it would have had.
-        for (Addr a = first; a <= last; a += line) {
-            c.advanceIssue();
-            Tick t = c.now();
-            recordOp([this, t, a] { c.dcache()->softwarePrefetch(t, a); });
-        }
-        return settle();
-    }
     for (Addr a = first; a <= last; a += line) {
         c.advanceIssue();
         c.dcache()->softwarePrefetch(c.now(), a);
@@ -93,19 +58,6 @@ Context::prefetchBlock(Addr addr, std::uint32_t bytes)
 OpAwait
 Context::barrier(Barrier &b)
 {
-    if (deferActive()) {
-        Barrier *bp = &b;
-        recordOp([this, bp] {
-            ++c.statsMut().barriers;
-            c.applySnoopStalls();
-            c.advanceIssue();
-            c.beginWait(StallCat::Sync);
-            Tick release = 0;
-            if (bp->arrive(c.now(), c.waitCallback(), release))
-                c.finishWait(release);
-        });
-        return {&c};
-    }
     ++c.statsMut().barriers;
     c.applySnoopStalls();
     c.advanceIssue(); // the arrival store
@@ -124,19 +76,6 @@ Context::lockAcquire(Lock &l)
     // The lock word itself bounces through the memory system: charge
     // an atomic RMW, then park on the modelled queue if held.
     co_await atomicFetchAdd32(l.lineAddr(), 0);
-    if (deferActive()) {
-        Lock *lp = &l;
-        recordOp([this, lp] {
-            c.beginWait(StallCat::Sync);
-            // An uncontended acquire returns to the kernel without
-            // an event in the single-threaded path (no quantum check
-            // there), so the replay mirror is a plain inline resume.
-            if (lp->tryAcquire(c.now(), c.waitCallback()))
-                c.resumeInline();
-        });
-        co_await OpAwait{&c};
-        co_return;
-    }
     c.beginWait(StallCat::Sync);
     if (!l.tryAcquire(c.now(), c.waitCallback()))
         co_await OpAwait{&c};
@@ -146,15 +85,6 @@ Co<void>
 Context::lockRelease(Lock &l)
 {
     co_await store<std::uint32_t>(l.lineAddr(), 0);
-    if (deferActive()) {
-        // Fire-and-forget: the kernel continues, so pin the release
-        // to the tick it has now — by replay time the local clock
-        // may have moved on.
-        Lock *lp = &l;
-        Tick t = c.now();
-        recordOp([lp, t] { lp->release(t); });
-        co_return;
-    }
     l.release(c.now());
 }
 
@@ -177,27 +107,12 @@ Context::requireDma() const
                       "commands)");
 }
 
-Context::Ticket
-Context::deferDmaCommand(bool is_get, std::vector<DmaEngine::Chunk> chunks)
-{
-    DmaEngine *dma = c.dma();
-    auto p = dma->defer(c.now(), is_get, std::move(chunks));
-    Ticket tk = p->ticket;
-    recordOp([dma, p = std::move(p)] { dma->executePending(*p); });
-    return tk;
-}
-
 ValueAwait<Context::Ticket>
 Context::dmaGet(Addr mem_addr, std::uint32_t ls_off, std::uint32_t bytes)
 {
     requireDma();
     ++c.statsMut().dmaCommands;
     c.advanceUseful(cfg.dmaCommandCycles);
-    if (deferActive()) {
-        Ticket tk = deferDmaCommand(
-            true, DmaEngine::seqChunks(mem_addr, ls_off, bytes));
-        return {settle().core, tk};
-    }
     Ticket tk = c.dma()->get(c.now(), mem_addr, ls_off, bytes);
     return {settle().core, tk};
 }
@@ -208,11 +123,6 @@ Context::dmaPut(Addr mem_addr, std::uint32_t ls_off, std::uint32_t bytes)
     requireDma();
     ++c.statsMut().dmaCommands;
     c.advanceUseful(cfg.dmaCommandCycles);
-    if (deferActive()) {
-        Ticket tk = deferDmaCommand(
-            false, DmaEngine::seqChunks(mem_addr, ls_off, bytes));
-        return {settle().core, tk};
-    }
     Ticket tk = c.dma()->put(c.now(), mem_addr, ls_off, bytes);
     return {settle().core, tk};
 }
@@ -225,12 +135,6 @@ Context::dmaGetStrided(Addr mem_base, std::uint64_t mem_stride,
     requireDma();
     ++c.statsMut().dmaCommands;
     c.advanceUseful(cfg.dmaCommandCycles);
-    if (deferActive()) {
-        Ticket tk = deferDmaCommand(
-            true, DmaEngine::stridedChunks(mem_base, mem_stride,
-                                           row_bytes, rows, ls_off));
-        return {settle().core, tk};
-    }
     Ticket tk = c.dma()->getStrided(c.now(), mem_base, mem_stride,
                                     row_bytes, rows, ls_off);
     return {settle().core, tk};
@@ -244,12 +148,6 @@ Context::dmaPutStrided(Addr mem_base, std::uint64_t mem_stride,
     requireDma();
     ++c.statsMut().dmaCommands;
     c.advanceUseful(cfg.dmaCommandCycles);
-    if (deferActive()) {
-        Ticket tk = deferDmaCommand(
-            false, DmaEngine::stridedChunks(mem_base, mem_stride,
-                                            row_bytes, rows, ls_off));
-        return {settle().core, tk};
-    }
     Ticket tk = c.dma()->putStrided(c.now(), mem_base, mem_stride,
                                     row_bytes, rows, ls_off);
     return {settle().core, tk};
@@ -264,13 +162,6 @@ Context::dmaGetIndexed(const std::vector<Addr> &addrs,
     // Indexed transfers also cost a bundle per element to stage the
     // address list.
     c.advanceUseful(cfg.dmaCommandCycles + Cycles(addrs.size()));
-    if (deferActive()) {
-        // The chunk list is built now: the caller may reuse its
-        // address vector the moment this returns.
-        Ticket tk = deferDmaCommand(
-            true, DmaEngine::indexedChunks(addrs, elem_bytes, ls_off));
-        return {settle().core, tk};
-    }
     Ticket tk = c.dma()->getIndexed(c.now(), addrs, elem_bytes, ls_off);
     return {settle().core, tk};
 }
@@ -282,11 +173,6 @@ Context::dmaPutIndexed(const std::vector<Addr> &addrs,
     requireDma();
     ++c.statsMut().dmaCommands;
     c.advanceUseful(cfg.dmaCommandCycles + Cycles(addrs.size()));
-    if (deferActive()) {
-        Ticket tk = deferDmaCommand(
-            false, DmaEngine::indexedChunks(addrs, elem_bytes, ls_off));
-        return {settle().core, tk};
-    }
     Ticket tk = c.dma()->putIndexed(c.now(), addrs, elem_bytes, ls_off);
     return {settle().core, tk};
 }
@@ -298,15 +184,6 @@ Context::dmaWait(Ticket tk)
         throwSimError(SimErrorKind::Model,
                       "dmaWait() used on a core without a DMA engine "
                       "(cache-based model)");
-    if (deferActive()) {
-        // The completion tick is only known once the command's walk
-        // has replayed; read it in the replay phase, where program
-        // order guarantees the walk came first.
-        recordOp([this, tk] {
-            waitUntilInline(c.dma()->completionTick(tk), StallCat::Sync);
-        });
-        return {&c};
-    }
     return waitUntil(c.dma()->completionTick(tk), StallCat::Sync);
 }
 
@@ -317,12 +194,6 @@ Context::dmaWaitAll()
     // between models can end with an unconditional drain.
     if (!c.dma())
         return settle();
-    if (deferActive()) {
-        recordOp([this] {
-            waitUntilInline(c.dma()->allDoneTick(), StallCat::Sync);
-        });
-        return {&c};
-    }
     return waitUntil(c.dma()->allDoneTick(), StallCat::Sync);
 }
 

@@ -29,7 +29,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <cstring>
 
 #include "core/core.hh"
 #include "core/sync.hh"
@@ -69,18 +68,12 @@ struct OpAwait
     void await_resume() const noexcept {}
 };
 
-/**
- * Awaitable carrying a value computed at issue — or, for an
- * operation deferred to the parallel engine's serial replay phase,
- * delivered through the context's slot when the replayed body runs
- * (DESIGN.md §17).
- */
+/** Awaitable carrying a value computed at issue. */
 template <typename T>
 struct ValueAwait
 {
     Core *core = nullptr;
     T value{};
-    const std::uint64_t *slot = nullptr;
 
     bool await_ready() const noexcept { return core == nullptr; }
 
@@ -90,16 +83,7 @@ struct ValueAwait
         core->noteSuspended(h);
     }
 
-    T
-    await_resume() const noexcept
-    {
-        if (slot) {
-            T v{};
-            std::memcpy(&v, slot, sizeof(T));
-            return v;
-        }
-        return value;
-    }
+    T await_resume() const noexcept { return value; }
 };
 
 class Context
@@ -116,11 +100,11 @@ class Context
     /** Untimed functional memory (setup/verification only). */
     FunctionalMemory &mem() { return fmem; }
 
-    /** Local-store capacity in bytes (streaming model). */
+    /** Local-store capacity in bytes (0 on the cache-based model). */
     std::uint32_t
     lsCapacity() const
     {
-        return c.model() == MemModel::STR ? 24 * 1024 : 0;
+        return c.localStore() ? c.localStore()->size() : 0;
     }
 
     //
@@ -153,29 +137,6 @@ class Context
     load(Addr addr)
     {
         static_assert(sizeof(T) <= 8, "one load moves at most 8 bytes");
-        if (deferActive()) {
-            // Worker phase: the probe chain reads and mutates shared
-            // L1/fabric state, and even the functional read must wait
-            // for the replay phase to observe earlier-tick stores by
-            // other cores. The whole access replays at this event's
-            // key; the value arrives through the slot.
-            recordOp([this, addr] {
-                T value = fmem.read<T>(addr);
-                deferSlot = 0;
-                std::memcpy(&deferSlot, &value, sizeof(T));
-                ++c.statsMut().loads;
-                c.applySnoopStalls();
-                c.advanceIssue();
-                if (c.dcache()->microLoad(addr)) {
-                    settleInline();
-                    return;
-                }
-                c.beginWait(StallCat::Load);
-                if (c.dcache()->load(c.now(), addr, c.waitCallback()))
-                    settleInline();
-            });
-            return {&c, T{}, &deferSlot};
-        }
         T value = fmem.read<T>(addr);
         ++c.statsMut().loads;
         c.applySnoopStalls();
@@ -302,65 +263,6 @@ class Context
     /** fatal() unless this core has a DMA engine (STR model). */
     void requireDma() const;
 
-    /**
-     * True while this kernel is executing on a parallel worker
-     * thread (DESIGN.md §17): any operation touching shared or
-     * cross-core-visible state must be recorded for the serial
-     * replay phase instead of executing here. Purely-local work
-     * (compute, local store, timing accrual) proceeds as usual.
-     */
-    static bool
-    deferActive()
-    {
-        ParallelHook *h = EventQueue::currentHook();
-        return h && h->workerPhase;
-    }
-
-    /** Record a deferred operation body (worker phase only). */
-    static void
-    recordOp(ParallelHook::OpFn &&op)
-    {
-        EventQueue::currentHook()->recordOp(std::move(op));
-    }
-
-    /**
-     * Replay-side settle(): the same quantum decision, applied to a
-     * kernel that the deferred awaitable already parked. Where the
-     * single-threaded operation returned to the kernel without an
-     * event, resume it here on the replay stack — the event count
-     * stays identical.
-     */
-    void
-    settleInline()
-    {
-        if (c.needsQuantumFlush())
-            c.armQuantumFlush();
-        else
-            c.resumeInline();
-    }
-
-    /** Replay-side waitUntil(): mirrors waitUntil() exactly. */
-    void
-    waitUntilInline(Tick when, StallCat cat)
-    {
-        if (when <= c.now()) {
-            settleInline();
-            return;
-        }
-        c.beginWait(cat);
-        c.finishWait(when);
-    }
-
-    /**
-     * Worker-phase DMA command: reserve the ticket now (core-private
-     * table, and puts snapshot their local-store source — see
-     * DmaEngine::defer), record the timed walk for replay, and let
-     * the kernel continue with the ticket exactly as the
-     * single-threaded fire-and-forget path does.
-     */
-    Ticket deferDmaCommand(bool is_get,
-                           std::vector<DmaEngine::Chunk> chunks);
-
     /** Quantum check shared by every inline-completing operation. */
     OpAwait
     settle()
@@ -377,23 +279,6 @@ class Context
     storeImpl(Addr addr, T value, bool pfs)
     {
         static_assert(sizeof(T) <= 8, "one store moves at most 8 bytes");
-        if (deferActive()) {
-            recordOp([this, addr, value, pfs] {
-                fmem.write(addr, value);
-                ++c.statsMut().stores;
-                c.applySnoopStalls();
-                c.advanceIssue();
-                if (c.dcache()->microStore(c.now(), addr)) {
-                    settleInline();
-                    return;
-                }
-                c.beginWait(StallCat::Store);
-                if (c.dcache()->store(c.now(), addr, pfs,
-                                      c.waitCallback()))
-                    settleInline();
-            });
-            return {&c};
-        }
         fmem.write(addr, value);
         ++c.statsMut().stores;
         c.applySnoopStalls();
@@ -425,14 +310,6 @@ class Context
     int threadId;
     int threadCount;
     ContextConfig cfg;
-
-    /**
-     * Value slot for deferred operations: the replayed body writes
-     * the result here, the suspended awaitable reads it on resume.
-     * One slot suffices — a kernel has at most one deferred
-     * value-producing operation outstanding (it suspends on it).
-     */
-    std::uint64_t deferSlot = 0;
 };
 
 } // namespace cmpmem

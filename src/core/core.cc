@@ -15,7 +15,6 @@ Core::Core(int id, EventQueue &event_queue, Clock clock, MemModel model,
            DmaEngine *dma, CoherenceFabric *fabric, Cycles quantum_cycles)
     : coreId(id),
       eq(event_queue),
-      nowSrc(event_queue.nowPtr()),
       clk(clock),
       memModel(model),
       dcachePtr(dcache),
@@ -37,13 +36,13 @@ void
 Core::start()
 {
     assert(task.valid());
-    eq.schedule(globalNow(), coreId, [this] { launch(); });
+    eq.schedule(eq.now(), [this] { launch(); });
 }
 
 void
 Core::launch()
 {
-    curTick = std::max(curTick, globalNow());
+    curTick = std::max(curTick, eq.now());
     task.resume();
     checkDone();
 }
@@ -116,7 +115,7 @@ Core::applySnoopStalls()
 bool
 Core::needsQuantumFlush() const
 {
-    return curTick > globalNow() + quantumTicks;
+    return curTick > eq.now() + quantumTicks;
 }
 
 void
@@ -157,22 +156,13 @@ Core::waitCallback()
 void
 Core::scheduleResume(Tick at)
 {
-    eq.schedule(at, coreId, [this, at] {
+    eq.schedule(at, [this, at] {
         curTick = std::max(curTick, at);
         auto h = std::exchange(suspendedAt, nullptr);
         assert(h && "resume with no suspended kernel");
         h.resume();
         checkDone();
     });
-}
-
-void
-Core::resumeInline()
-{
-    auto h = std::exchange(suspendedAt, nullptr);
-    assert(h && "inline resume with no suspended kernel");
-    h.resume();
-    checkDone();
 }
 
 void
@@ -183,28 +173,17 @@ Core::armQuantumFlush()
     // cache, so the cached line/permission must not persist across
     // the flush. (Snoops also invalidate directly; this is the
     // belt-and-braces half of the contract.)
-    if (dcachePtr) {
-        ParallelHook *h = EventQueue::currentHook();
-        if (h && h->workerPhase) {
-            // Worker phase: the micro entry is core-private, but the
-            // clear must land in key order with the snoops that race
-            // it, so it rides the deferred-op stream like every other
-            // shared-state touch.
-            L1Controller *d = dcachePtr;
-            h->recordOp([d] { d->microInvalidate(); });
-        } else {
-            dcachePtr->microInvalidate();
-        }
-    }
+    if (dcachePtr)
+        dcachePtr->microInvalidate();
     // No stall: the local clock already accounts for the elapsed
     // time; this merely hands control back to the event loop.
-    scheduleResume(std::max(curTick, globalNow()));
+    scheduleResume(std::max(curTick, eq.now()));
 }
 
 void
 Core::resumeKernel(Tick when)
 {
-    scheduleResume(std::max(when, globalNow()));
+    scheduleResume(std::max(when, eq.now()));
 }
 
 } // namespace cmpmem

@@ -107,18 +107,6 @@ class Core
     const Clock &clock() const { return clk; }
     EventQueue &eventQueue() { return eq; }
 
-    /**
-     * Global time as this core must observe it. Defaults to the
-     * event queue's tick; the parallel engine repoints it (per-core
-     * slot during the worker phase, the shared replay cursor during
-     * serial phases) so quantum arithmetic reads the same "now" a
-     * single-threaded run would at the same event.
-     */
-    Tick globalNow() const { return *nowSrc; }
-
-    /** Repoint globalNow() (parallel engine only). */
-    void setNowSource(const Tick *src) { nowSrc = src; }
-
     L1Controller *dcache() { return dcachePtr; }
     LocalStore *localStore() { return lsPtr; }
     DmaEngine *dma() { return dmaPtr; }
@@ -173,15 +161,6 @@ class Core
     /** Stash the suspension point (called from await_suspend). */
     void noteSuspended(std::coroutine_handle<> h) { suspendedAt = h; }
 
-    /**
-     * Resume the parked kernel right now, on the current host stack,
-     * without an event. Used by replayed deferred operations whose
-     * single-threaded counterpart returned to the kernel without
-     * suspending (L1 hits, satisfied waits): the event-count and
-     * timing effects must match that no-event path exactly.
-     */
-    void resumeInline();
-
   private:
     void resumeKernel(Tick when);
 
@@ -197,7 +176,6 @@ class Core
 
     int coreId;
     EventQueue &eq;
-    const Tick *nowSrc;
     Clock clk;
     MemModel memModel;
     L1Controller *dcachePtr;

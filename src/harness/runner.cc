@@ -1,8 +1,6 @@
 #include "harness/runner.hh"
 
-#include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <ctime>
 
 #include "sim/log.hh"
@@ -81,20 +79,8 @@ runWorkload(const std::string &workload_name, const SystemConfig &cfg,
             const WorkloadParams &params)
 {
     double t0 = threadCpuSeconds();
-    auto w0 = std::chrono::steady_clock::now();
 
     SystemConfig run_cfg = cfg;
-    // CMPMEM_RUN_JOBS maps onto hostThreads for single runs launched
-    // from the CLI/bench scripts; an explicit config value wins.
-    if (run_cfg.hostThreads == 1) {
-        if (const char *env = std::getenv("CMPMEM_RUN_JOBS")) {
-            int n = std::atoi(env);
-            if (n > 1)
-                run_cfg.hostThreads = std::min(n, 256);
-        }
-    }
-    const bool parallel_run =
-        std::min(run_cfg.hostThreads, run_cfg.cores) > 1;
     if (cfg.eq.autoTune) {
         run_cfg.eq.autoTune = false;
         run_cfg.eq.bucketShift =
@@ -123,15 +109,7 @@ runWorkload(const std::string &workload_name, const SystemConfig &cfg,
         warn("workload %s/%s failed verification",
              workload->name().c_str(), workload->variant().c_str());
 
-    // Parallel runs bill wall time: worker-thread CPU is real cost
-    // that the calling thread's CPU clock never sees, and the
-    // events/sec figure should reflect the actual speedup.
-    result.hostSeconds =
-        parallel_run
-            ? std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - w0)
-                  .count()
-            : threadCpuSeconds() - t0;
+    result.hostSeconds = threadCpuSeconds() - t0;
     return result;
 }
 

@@ -134,29 +134,6 @@ runJobInProcess(const SweepJob &job, const SweepOptions &opts,
             // own config left unset, so a single hung point cannot
             // stall the whole sweep.
             SystemConfig cfg = job.cfg;
-            // Intra-run parallelism (hostThreads) composes with the
-            // inter-job worker pool; cap the per-job thread count so
-            // a multi-worker sweep doesn't fan out into
-            // pool × hostThreads host threads. The CMPMEM_RUN_JOBS
-            // mapping is resolved here (explicit config beats the
-            // env, mirroring runWorkload) so the cap covers it too.
-            // Stats are unaffected: runs are bit-identical at any
-            // hostThreads value.
-            if (cfg.hostThreads == 1) {
-                if (const char *env =
-                        std::getenv("CMPMEM_RUN_JOBS")) {
-                    int n = std::atoi(env);
-                    if (n > 1)
-                        cfg.hostThreads = std::min(n, 256);
-                }
-            }
-            const int pool = sweepWorkerCount(opts.jobs);
-            if (pool > 1 && cfg.hostThreads > 1) {
-                unsigned hw = std::thread::hardware_concurrency();
-                cfg.hostThreads =
-                    std::min(cfg.hostThreads,
-                             std::max(1, int(hw ? hw : 1) / pool));
-            }
             if (opts.jobMaxTicks && !cfg.watchdog.maxTicks)
                 cfg.watchdog.maxTicks = opts.jobMaxTicks;
             if (opts.jobMaxHostSeconds > 0 &&
@@ -496,31 +473,6 @@ SweepResult::toJson() const
         out += "      \"verified\": " + jbool(jr.run.verified) + ",\n";
         out += "      \"host_seconds\": " + jnum(jr.run.hostSeconds) +
                ",\n";
-        // Parallel-engine telemetry (DESIGN.md §17): host-side only,
-        // excluded from identity comparison like host_seconds.
-        out += "      \"host_threads\": " +
-               fmt("%d", jr.run.stats.hostThreads) + ",\n";
-        if (jr.run.stats.hostThreads > 1) {
-            out += "      \"host_windows\": " +
-                   fmt("%llu",
-                       (unsigned long long)jr.run.stats.hostWindows) +
-                   ",\n";
-            out += "      \"host_parallel_windows\": " +
-                   fmt("%llu", (unsigned long long)
-                                   jr.run.stats.hostParallelWindows) +
-                   ",\n";
-            out += "      \"host_barrier_wait_seconds\": " +
-                   jnum(jr.run.stats.hostBarrierWaitSeconds) + ",\n";
-            out += "      \"host_shard_events\": [";
-            bool sfirst = true;
-            for (auto ev : jr.run.stats.hostShardEvents) {
-                if (!sfirst)
-                    out += ", ";
-                sfirst = false;
-                out += fmt("%llu", (unsigned long long)ev);
-            }
-            out += "],\n";
-        }
         out += "      \"events_per_sec\": " + jnum(jr.run.eventsPerSec()) +
                ",\n";
         out += "      \"accesses_per_sec\": " +

@@ -31,14 +31,6 @@ hostThreadSeconds()
 
 } // namespace
 
-thread_local ParallelHook *EventQueue::tlHook = nullptr;
-
-void
-EventQueue::routeToHook(Tick when, std::int32_t shard, Callback &&cb)
-{
-    tlHook->routeSchedule(when, shard, std::move(cb));
-}
-
 EventQueue::Node *
 EventQueue::allocNode(Tick when)
 {
@@ -59,49 +51,7 @@ EventQueue::allocNode(Tick when)
     n->when = when;
     n->seq = nextSeq++;
     n->next = nullptr;
-    n->shard = kNoShard;
     return n;
-}
-
-std::uint64_t
-EventQueue::scheduleKeyOnly(Tick when)
-{
-    if (when < curTick)
-        throwSchedulePast(when);
-    Node *n = allocNode(when);
-    insert(n);
-    return n->seq;
-}
-
-std::pair<Tick, std::uint64_t>
-EventQueue::popKey()
-{
-    Node *n = peekNext();
-    // The engine only pops keys it knows are pending; an empty pop
-    // is a merge-logic bug, not a recoverable condition.
-    if (!n)
-        throwSimError(SimErrorKind::Model,
-                      "shadow popKey on an empty queue (tick %llu)",
-                      static_cast<unsigned long long>(curTick));
-    takeNext();
-    curTick = n->when;
-    ++numExecuted;
-    const std::pair<Tick, std::uint64_t> key{n->when, n->seq};
-    releaseNode(n);
-    return key;
-}
-
-void
-EventQueue::insertWithSeq(Tick when, std::uint64_t seq, std::int32_t shard,
-                          Callback &&cb)
-{
-    if (when < curTick)
-        throwSchedulePast(when);
-    Node *n = allocNode(when);
-    n->seq = seq;
-    n->shard = shard;
-    n->cb = std::move(cb);
-    insert(n);
 }
 
 void

@@ -40,22 +40,12 @@
 namespace cmpmem
 {
 
-class ParallelHook;
-class ParallelEngine;
-
 /**
  * A single-threaded discrete-event queue ordered by (tick, sequence).
  *
  * Events scheduled for the same tick fire in scheduling order, which
  * keeps the simulation deterministic. Callbacks may schedule further
  * events, including at the current tick.
- *
- * Parallel intra-run execution (DESIGN.md §17) layers on top without
- * changing this contract: while a ParallelEngine is driving the run,
- * a thread-local ParallelHook intercepts every schedule() so worker
- * threads never touch the queue structure, and the engine's shadow
- * queue replays the exact single-threaded (tick, seq) stream through
- * scheduleKeyOnly()/popKey().
  */
 class EventQueue
 {
@@ -68,15 +58,6 @@ class EventQueue
      */
     static constexpr std::size_t kCallbackBytes = 48;
     using Callback = InlineFunction<void(), kCallbackBytes>;
-
-    /**
-     * Shard tag for an event. Core-local events (kernel resumes) are
-     * tagged with their core id so the parallel engine can hand them
-     * to that core's worker thread; everything else defaults to
-     * kNoShard and executes in the serial (replay) phase. The tag is
-     * ignored entirely in single-threaded runs.
-     */
-    static constexpr std::int32_t kNoShard = -1;
 
     /**
      * Calendar geometry bounds. The bucket shift is the log2 of the
@@ -111,43 +92,12 @@ class EventQueue
     void
     schedule(Tick when, F &&f)
     {
-        schedule(when, kNoShard, std::forward<F>(f));
-    }
-
-    /**
-     * Shard-tagged schedule. The hook check precedes the past-time
-     * check: while a parallel worker is executing, this queue's
-     * curTick is stale for that worker, so the hook (which knows the
-     * worker's true position) owns the past-schedule diagnostic.
-     */
-    template <typename F>
-    void
-    schedule(Tick when, std::int32_t shard, F &&f)
-    {
-        if (tlHook) {
-            Callback cb;
-            cb.emplace(std::forward<F>(f));
-            routeToHook(when, shard, std::move(cb));
-            return;
-        }
         if (when < curTick)
             throwSchedulePast(when);
         Node *n = allocNode(when);
-        n->shard = shard;
         n->cb.emplace(std::forward<F>(f));
         insert(n);
     }
-
-    /**
-     * The ParallelHook installed on the calling thread (null outside
-     * a parallel-engine phase). Static: at most one engine drives a
-     * thread at a time, and the hook must catch schedules regardless
-     * of which queue reference a model component holds.
-     */
-    static ParallelHook *currentHook() { return tlHook; }
-
-    /** Install/clear the calling thread's hook (engine only). */
-    static void setCurrentHook(ParallelHook *h) { tlHook = h; }
 
     /** Run until the queue drains. @return the final tick reached. */
     Tick run();
@@ -288,47 +238,7 @@ class EventQueue
      */
     std::vector<Tick> pendingEventTicks(std::size_t max = 16) const;
 
-    //
-    // Shadow-queue primitives for the parallel engine (DESIGN.md
-    // §17). The engine keeps a second EventQueue that receives the
-    // exact single-threaded sequence of schedule/pop operations, so
-    // its (tick, seq) keys — and all deterministic telemetry above —
-    // are bit-identical to a hostThreads=1 run by construction.
-    //
-
-    /**
-     * Allocate a key for an event without a callback: the shadow
-     * queue orders keys, the engine owns the callbacks. Same
-     * past-time contract as schedule().
-     * @return the sequence number assigned.
-     */
-    std::uint64_t scheduleKeyOnly(Tick when);
-
-    /**
-     * Pop the globally minimal pending event, advancing curTick and
-     * the executed count exactly as dispatch() would, but without
-     * invoking anything. @pre !empty().
-     * @return the popped (tick, seq) key.
-     */
-    std::pair<Tick, std::uint64_t> popKey();
-
-    /**
-     * Insert an event under an externally assigned sequence number
-     * (the shadow queue's). Used by the engine to feed replayed
-     * cross-window events back into the real queue so their pop order
-     * matches the single-threaded run. @pre when > now().
-     */
-    void insertWithSeq(Tick when, std::uint64_t seq, std::int32_t shard,
-                       Callback &&cb);
-
-    /**
-     * Stable pointer to the current tick, for components that must
-     * read "now" through an engine-controlled indirection (Core).
-     */
-    const Tick *nowPtr() const { return &curTick; }
-
   private:
-    friend class ParallelEngine;
     /**
      * Ring geometry: 1024 buckets x 2^tickShift ticks (256-tick
      * buckets and a ~262 ns horizon at the default shift).
@@ -343,7 +253,6 @@ class EventQueue
         Tick when = 0;
         std::uint64_t seq = 0;
         Node *next = nullptr; ///< free list / bucket list / now FIFO
-        std::int32_t shard = kNoShard;
         Callback cb;
     };
 
@@ -377,11 +286,6 @@ class EventQueue
 
     Node *allocNode(Tick when);
     void releaseNode(Node *n);
-
-    /** Out-of-line hook dispatch (ParallelHook is incomplete here). */
-    static void routeToHook(Tick when, std::int32_t shard, Callback &&cb);
-
-    static thread_local ParallelHook *tlHook;
 
     /** Route a fresh node into now-FIFO / active / ring / overflow. */
     void insert(Node *n);
@@ -456,51 +360,6 @@ class EventQueue
     std::uint64_t overflowCount = 0;
     unsigned tickShift = kDefaultBucketShift;
     Tick maxOverflowHorizon = 0;
-};
-
-/**
- * Interception point for parallel intra-run execution (DESIGN.md
- * §17). While installed on a thread via EventQueue::setCurrentHook,
- * every EventQueue::schedule on that thread routes here instead of
- * touching the queue, and model code consults workerPhase to decide
- * whether an operation on shared state must be recorded for the
- * serial replay phase instead of executing immediately.
- */
-class ParallelHook
-{
-  public:
-    /**
-     * Deferred-operation closure. Wider than EventQueue::Callback
-     * because some deferred bodies (indexed DMA walks) carry an
-     * owning pointer plus bookkeeping that a schedule callback never
-     * needs.
-     */
-    using OpFn = InlineFunction<void(), 64>;
-
-    virtual ~ParallelHook() = default;
-
-    /**
-     * A schedule issued while this hook is installed. @p shard is
-     * the originating event's tag (EventQueue::kNoShard for shared
-     * machinery).
-     */
-    virtual void routeSchedule(Tick when, std::int32_t shard,
-                               EventQueue::Callback &&cb) = 0;
-
-    /**
-     * Record a deferred operation: @p op runs in the serial replay
-     * phase at the key of the event that recorded it, in record
-     * order. Only legal while workerPhase is true.
-     */
-    virtual void recordOp(OpFn &&op) = 0;
-
-    /**
-     * True on a worker thread executing core-local events in the
-     * parallel phase: operations touching shared state must defer.
-     * False on the coordinator during replay, where deferred bodies
-     * execute with full access to shared structures.
-     */
-    bool workerPhase = false;
 };
 
 } // namespace cmpmem

@@ -76,83 +76,13 @@ DmaEngine::copyBuffer(std::size_t bytes)
     return copyScratch.data();
 }
 
-std::vector<DmaEngine::Chunk>
-DmaEngine::seqChunks(Addr mem_addr, std::uint32_t ls_off,
-                     std::uint32_t bytes)
-{
-    return {{mem_addr, ls_off, bytes}};
-}
-
-std::vector<DmaEngine::Chunk>
-DmaEngine::stridedChunks(Addr mem_base, std::uint64_t mem_stride,
-                         std::uint32_t row_bytes, std::uint32_t rows,
-                         std::uint32_t ls_off)
-{
-    std::vector<Chunk> chunks;
-    chunks.reserve(rows);
-    for (std::uint32_t r = 0; r < rows; ++r) {
-        chunks.push_back({mem_base + Addr(r) * mem_stride,
-                          ls_off + r * row_bytes, row_bytes});
-    }
-    return chunks;
-}
-
-std::vector<DmaEngine::Chunk>
-DmaEngine::indexedChunks(const std::vector<Addr> &addrs,
-                         std::uint32_t elem_bytes, std::uint32_t ls_off)
-{
-    std::vector<Chunk> chunks;
-    chunks.reserve(addrs.size());
-    std::uint32_t off = ls_off;
-    for (Addr a : addrs) {
-        chunks.push_back({a, off, elem_bytes});
-        off += elem_bytes;
-    }
-    return chunks;
-}
-
-std::unique_ptr<DmaEngine::Pending>
-DmaEngine::defer(Tick t, bool is_get, std::vector<Chunk> chunks)
-{
-    // The deferred (parallel worker-phase) path allocates its command
-    // snapshot by design: a Pending outlives this call and travels to
-    // the serial replay phase. The zero-allocation contract covers
-    // the immediate single-threaded path (get/put/*Strided/*Indexed).
-    auto p = std::make_unique<Pending>();
-    p->t = t;
-    p->ticket = reserveTicket();
-    p->isGet = is_get;
-    p->chunks = std::move(chunks);
-    if (!is_get) {
-        std::size_t total = 0;
-        for (const auto &c : p->chunks)
-            total += c.bytes;
-        p->putData.resize(total);
-        std::size_t off = 0;
-        for (const auto &c : p->chunks) {
-            ls.read(c.lsOff, p->putData.data() + off, c.bytes);
-            off += c.bytes;
-        }
-    }
-    return p;
-}
-
-Tick
-DmaEngine::executePending(const Pending &p)
-{
-    return executeChunks(p.t, p.ticket, p.chunks, p.isGet,
-                         p.putData.empty() ? nullptr : p.putData.data());
-}
-
-Tick
+void
 DmaEngine::executeChunks(Tick t, Ticket ticket,
-                         const std::vector<Chunk> &chunks, bool is_get,
-                         const std::uint8_t *put_data)
+                         const std::vector<Chunk> &chunks, bool is_get)
 {
     const int cluster = fabric.clusterOf(coreId);
     const std::uint32_t line = cfg.accessBytes;
     Tick done = t;
-    std::size_t put_off = 0;
 
     for (const auto &c : chunks) {
         // Split the chunk into line-granule accesses. The uncore
@@ -204,18 +134,12 @@ DmaEngine::executeChunks(Tick t, Ticket ticket,
             remaining -= in_line;
         }
 
-        // Functional copy, in issue order (see file comment). A
-        // deferred put carries its local-store bytes from defer()
-        // time — the command's true issue point in program order.
+        // Functional copy, in issue order (see file comment).
+        std::uint8_t *buf = copyBuffer(c.bytes);
         if (is_get) {
-            std::uint8_t *buf = copyBuffer(c.bytes);
             mem.read(c.mem, buf, c.bytes);
             ls.write(c.lsOff, buf, c.bytes);
-        } else if (put_data) {
-            mem.write(c.mem, put_data + put_off, c.bytes);
-            put_off += c.bytes;
         } else {
-            std::uint8_t *buf = copyBuffer(c.bytes);
             ls.read(c.lsOff, buf, c.bytes);
             mem.write(c.mem, buf, c.bytes);
         }
@@ -224,7 +148,6 @@ DmaEngine::executeChunks(Tick t, Ticket ticket,
     ++stats.commands;
     ticketDone[ticket % kTicketWindow] = done;
     lastCompletion = std::max(lastCompletion, done);
-    return done;
 }
 
 DmaEngine::Ticket
@@ -234,7 +157,7 @@ DmaEngine::get(Tick t, Addr mem_addr, std::uint32_t ls_off,
     Ticket tk = reserveTicket();
     stageChunks(1);
     chunkScratch.push_back({mem_addr, ls_off, bytes});
-    executeChunks(t, tk, chunkScratch, true, nullptr);
+    executeChunks(t, tk, chunkScratch, true);
     return tk;
 }
 
@@ -245,7 +168,7 @@ DmaEngine::put(Tick t, Addr mem_addr, std::uint32_t ls_off,
     Ticket tk = reserveTicket();
     stageChunks(1);
     chunkScratch.push_back({mem_addr, ls_off, bytes});
-    executeChunks(t, tk, chunkScratch, false, nullptr);
+    executeChunks(t, tk, chunkScratch, false);
     return tk;
 }
 
@@ -260,7 +183,7 @@ DmaEngine::getStrided(Tick t, Addr mem_base, std::uint64_t mem_stride,
         chunkScratch.push_back({mem_base + Addr(r) * mem_stride,
                                 ls_off + r * row_bytes, row_bytes});
     }
-    executeChunks(t, tk, chunkScratch, true, nullptr);
+    executeChunks(t, tk, chunkScratch, true);
     return tk;
 }
 
@@ -275,7 +198,7 @@ DmaEngine::putStrided(Tick t, Addr mem_base, std::uint64_t mem_stride,
         chunkScratch.push_back({mem_base + Addr(r) * mem_stride,
                                 ls_off + r * row_bytes, row_bytes});
     }
-    executeChunks(t, tk, chunkScratch, false, nullptr);
+    executeChunks(t, tk, chunkScratch, false);
     return tk;
 }
 
@@ -290,7 +213,7 @@ DmaEngine::getIndexed(Tick t, const std::vector<Addr> &addrs,
         chunkScratch.push_back({a, off, elem_bytes});
         off += elem_bytes;
     }
-    executeChunks(t, tk, chunkScratch, true, nullptr);
+    executeChunks(t, tk, chunkScratch, true);
     return tk;
 }
 
@@ -305,7 +228,7 @@ DmaEngine::putIndexed(Tick t, const std::vector<Addr> &addrs,
         chunkScratch.push_back({a, off, elem_bytes});
         off += elem_bytes;
     }
-    executeChunks(t, tk, chunkScratch, false, nullptr);
+    executeChunks(t, tk, chunkScratch, false);
     return tk;
 }
 

@@ -21,7 +21,6 @@
 #define CMPMEM_STREAM_DMA_ENGINE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -126,6 +125,10 @@ class DmaEngine : public Diagnosable
     /** Completion-ring depth (see completionTick()). */
     static constexpr std::size_t kTicketWindow = 4096;
 
+    std::string diagName() const override;
+    std::string diagnose() const override;
+
+  private:
     /** One contiguous piece of a transfer's memory-side footprint. */
     struct Chunk
     {
@@ -134,60 +137,15 @@ class DmaEngine : public Diagnosable
         std::uint32_t bytes;
     };
 
-    /** Chunk lists matching the public command shapes. */
-    static std::vector<Chunk> seqChunks(Addr mem_addr, std::uint32_t ls_off,
-                                        std::uint32_t bytes);
-    static std::vector<Chunk> stridedChunks(Addr mem_base,
-                                            std::uint64_t mem_stride,
-                                            std::uint32_t row_bytes,
-                                            std::uint32_t rows,
-                                            std::uint32_t ls_off);
-    static std::vector<Chunk> indexedChunks(const std::vector<Addr> &addrs,
-                                            std::uint32_t elem_bytes,
-                                            std::uint32_t ls_off);
-
-    /**
-     * A command split for parallel worker-phase issue (DESIGN.md
-     * §17): defer() reserves the ticket immediately (the ticket
-     * table is core-private) and, for puts, snapshots the local-
-     * store source — the engine copies at issue in core program
-     * order (see file comment), so the kernel may reuse an output
-     * buffer right after the command issues. The timed walk and the
-     * global-memory side of the functional copy run later, at this
-     * command's position in the serial replay phase, where earlier-
-     * tick writes by other cores are already visible.
-     */
-    struct Pending
-    {
-        Tick t = 0;
-        Ticket ticket = 0;
-        bool isGet = false;
-        std::vector<Chunk> chunks;
-        std::vector<std::uint8_t> putData; ///< put source snapshot
-    };
-
-    std::unique_ptr<Pending> defer(Tick t, bool is_get,
-                                   std::vector<Chunk> chunks);
-
-    /** Run a deferred command's walk. @return the completion tick. */
-    Tick executePending(const Pending &p);
-
-    std::string diagName() const override;
-    std::string diagnose() const override;
-
-  private:
     /** Append a placeholder completion slot for a new command. */
     Ticket reserveTicket();
 
     /**
      * Run one command's chunks through the engine and uncore,
-     * recording the completion under @p ticket. @p put_data, when
-     * non-null, supplies the put's functional source bytes (chunk
-     * data concatenated) in place of a live local-store read.
+     * recording the completion under @p ticket.
      */
-    Tick executeChunks(Tick t, Ticket ticket,
-                       const std::vector<Chunk> &chunks, bool is_get,
-                       const std::uint8_t *put_data);
+    void executeChunks(Tick t, Ticket ticket,
+                       const std::vector<Chunk> &chunks, bool is_get);
 
     Tick issueSlot(Tick earliest);
 
@@ -224,7 +182,7 @@ class DmaEngine : public Diagnosable
     std::vector<Tick> ticketDone;
     Ticket ticketNext = 0;
 
-    /** Reusable command staging for the immediate (non-defer) path. */
+    /** Reusable command staging and functional-copy buffers. */
     std::vector<Chunk> chunkScratch;
     std::vector<std::uint8_t> copyScratch;
     std::uint64_t hostAllocCount = 0;

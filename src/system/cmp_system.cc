@@ -4,7 +4,6 @@
 
 #include "sim/log.hh"
 #include "sim/sim_error.hh"
-#include "system/parallel_engine.hh"
 
 namespace cmpmem
 {
@@ -120,44 +119,24 @@ CmpSystem::dryRun(Tick max_ticks)
 Tick
 CmpSystem::simulate()
 {
-    EventQueue::RunGuard guard;
-    if (cfg.watchdog.engaged()) {
-        guard.maxTicks = cfg.watchdog.maxTicks;
-        guard.maxHostSeconds = cfg.watchdog.maxHostSeconds;
-        guard.progressCheckEvents = cfg.watchdog.progressCheckEvents;
-        guard.progressProbe = [this] {
-            std::uint64_t retired = 0;
-            for (const auto &core : coreVec)
-                retired += core->stats().instructions();
-            return retired;
-        };
-        guard.diagnostic = [this] { return dumpDiagnostics(); };
-    }
+    for (auto &core : coreVec)
+        core->start();
 
     try {
-        const int ht = std::min(cfg.hostThreads, cfg.cores);
-        if (ht > 1) {
-            // Parallel intra-run execution (DESIGN.md §17). The
-            // engine starts the cores itself so their launch events
-            // already carry shadow-queue keys.
-            const Cycles window_cycles =
-                cfg.hostWindowCycles ? cfg.hostWindowCycles
-                                     : 512 * cfg.quantumCycles;
-            std::vector<Core *> core_ptrs;
-            core_ptrs.reserve(coreVec.size());
-            for (auto &core : coreVec)
-                core_ptrs.push_back(core.get());
-            engine = std::make_unique<ParallelEngine>(
-                eq, std::move(core_ptrs), ht,
-                cfg.coreClock().cyclesToTicks(window_cycles));
-            engine->run(guard);
-        } else if (cfg.watchdog.engaged()) {
-            for (auto &core : coreVec)
-                core->start();
+        if (cfg.watchdog.engaged()) {
+            EventQueue::RunGuard guard;
+            guard.maxTicks = cfg.watchdog.maxTicks;
+            guard.maxHostSeconds = cfg.watchdog.maxHostSeconds;
+            guard.progressCheckEvents = cfg.watchdog.progressCheckEvents;
+            guard.progressProbe = [this] {
+                std::uint64_t retired = 0;
+                for (const auto &core : coreVec)
+                    retired += core->stats().instructions();
+                return retired;
+            };
+            guard.diagnostic = [this] { return dumpDiagnostics(); };
             eq.runGuarded(guard);
         } else {
-            for (auto &core : coreVec)
-                core->start();
             eq.run();
         }
     } catch (const SimError &e) {
@@ -169,12 +148,12 @@ CmpSystem::simulate()
         throw;
     }
 
-    if (finishedCores.load() != cfg.cores) {
+    if (finishedCores != cfg.cores) {
         throw SimError(
             SimErrorKind::Deadlock,
             strformat("deadlock: only %d of %d cores finished (a "
                       "kernel is waiting on an event that never fires)",
-                      finishedCores.load(), cfg.cores),
+                      finishedCores, cfg.cores),
             dumpDiagnostics());
     }
 
@@ -281,55 +260,25 @@ CmpSystem::collectStats() const
     if (faultInj)
         rs.faults = faultInj->stats();
 
-    const EventQueue &q = statsQueue();
-    rs.eventsExecuted = q.executed();
-    rs.peakPendingEvents = q.peakPending();
-    rs.calendarOverflows = q.calendarOverflows();
-    rs.calendarBucketShift = q.bucketShift();
-
-    if (engine) {
-        const ParallelEngine::Telemetry &t = engine->telemetry();
-        rs.hostThreads = engine->hostThreads();
-        rs.hostWindows = t.windows;
-        rs.hostParallelWindows = t.parallelWindows;
-        rs.hostBarrierWaitSeconds = t.barrierWaitSeconds;
-        rs.hostShardEvents = t.shardEvents;
-    }
+    rs.eventsExecuted = eq.executed();
+    rs.peakPendingEvents = eq.peakPending();
+    rs.calendarOverflows = eq.calendarOverflows();
+    rs.calendarBucketShift = eq.bucketShift();
 
     return rs;
-}
-
-const EventQueue &
-CmpSystem::statsQueue() const
-{
-    // At hostThreads > 1 the real queue saw only a subset of the
-    // operation stream (workers and the replay bypass it); the
-    // engine's shadow queue carries the bit-identical single-threaded
-    // counters and the coherent pending set.
-    return engine ? engine->shadow() : eq;
 }
 
 std::string
 CmpSystem::dumpDiagnostics() const
 {
-    // Shard state and shared structures are only coherent while the
-    // workers are quiesced at a barrier; a dump from inside a worker
-    // phase would mix half-executed window state.
-    if (engine && !engine->inSerialPhase()) {
-        throwSimError(SimErrorKind::Model,
-                      "diagnostics requested during a parallel worker "
-                      "phase (dumps are barrier-phase only)");
-    }
-    const EventQueue &q = statsQueue();
     std::string out = strformat(
         "=== machine state @ tick %llu ===\n"
         "event queue: %zu pending, %llu executed; %d of %d cores "
         "finished",
-        (unsigned long long)q.now(), q.pending(),
-        (unsigned long long)q.executed(), finishedCores.load(),
-        cfg.cores);
+        (unsigned long long)eq.now(), eq.pending(),
+        (unsigned long long)eq.executed(), finishedCores, cfg.cores);
 
-    std::vector<Tick> next = q.pendingEventTicks();
+    std::vector<Tick> next = eq.pendingEventTicks();
     if (!next.empty()) {
         out += "\nnext event ticks:";
         for (Tick t : next)

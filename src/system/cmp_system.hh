@@ -7,7 +7,6 @@
 #ifndef CMPMEM_SYSTEM_CMP_SYSTEM_HH
 #define CMPMEM_SYSTEM_CMP_SYSTEM_HH
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,8 +26,6 @@
 
 namespace cmpmem
 {
-
-class ParallelEngine;
 
 /** Everything measured in one simulation run. */
 struct RunStats
@@ -92,18 +89,6 @@ struct RunStats
      * auto-tuned — produced the numbers.
      */
     std::uint64_t calendarBucketShift = 0;
-
-    /**
-     * Parallel-execution telemetry (DESIGN.md §17). Host-side only:
-     * thread count and window/barrier figures depend on the host
-     * topology and wall clock, so none of these enter toStatSet() —
-     * stat digests must be bit-identical across hostThreads values.
-     */
-    int hostThreads = 1;
-    std::uint64_t hostWindows = 0;
-    std::uint64_t hostParallelWindows = 0;
-    double hostBarrierWaitSeconds = 0;
-    std::vector<std::uint64_t> hostShardEvents;
 
     /**
      * Miss-path host allocations (DESIGN.md §18): heap allocations
@@ -225,21 +210,7 @@ class CmpSystem
     std::vector<std::unique_ptr<DmaEngine>> dmaVec;
     std::vector<std::unique_ptr<Core>> coreVec;
     std::vector<std::unique_ptr<Context>> ctxVec;
-
-    /**
-     * The parallel intra-run engine, built by simulate() when
-     * min(cfg.hostThreads, cfg.cores) > 1 and kept alive afterwards:
-     * its shadow queue is the coherent source for stats and
-     * diagnostics (the real queue's counters stop at the events the
-     * engine popped itself).
-     */
-    std::unique_ptr<ParallelEngine> engine;
-
-    /** The queue whose counters/introspection describe this run. */
-    const EventQueue &statsQueue() const;
-
-    /** Atomic: kernels can finish on worker threads mid-quantum. */
-    std::atomic<int> finishedCores{0};
+    int finishedCores = 0;
 };
 
 } // namespace cmpmem

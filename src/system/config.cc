@@ -52,10 +52,6 @@ SystemConfig::validate() const
         throwSimError(SimErrorKind::Config,
                       "stream buffers need at least one buffer of "
                       "depth one");
-    if (hostThreads < 1 || hostThreads > 256)
-        throwSimError(SimErrorKind::Config,
-                      "host thread count %d out of range [1, 256]",
-                      hostThreads);
     if (eq.bucketShift < EventQueue::kMinBucketShift ||
         eq.bucketShift > EventQueue::kMaxBucketShift)
         throwSimError(SimErrorKind::Config,

@@ -111,25 +111,6 @@ struct SystemConfig
     /** Core-local/global time skew bound, in core cycles. */
     Cycles quantumCycles = 100;
 
-    /**
-     * Host worker threads for intra-run parallel execution
-     * (DESIGN.md §17). 1 — the default — is the plain
-     * single-threaded event loop. N > 1 shards per-core events
-     * across min(hostThreads, cores) host threads with
-     * window-barrier synchronization; results, stats and energy
-     * digests are bit-identical for any value (pinned by
-     * tests/test_parallel.cc). The runner maps CMPMEM_RUN_JOBS onto
-     * this field, and sweeps cap it against the inter-job pool.
-     */
-    int hostThreads = 1;
-
-    /**
-     * Width of one parallel execution window in core cycles;
-     * 0 picks 4x quantumCycles. A pure host-performance knob:
-     * any width yields bit-identical simulated results.
-     */
-    Cycles hostWindowCycles = 0;
-
     L2Config l2;
     DramConfig dram;
     InterconnectConfig net;

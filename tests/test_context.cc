@@ -2,11 +2,15 @@
  * @file
  * Context-level API tests: awaitable semantics, functional values,
  * stall classification per operation type, DMA issue overheads, the
- * PFS hint plumbing, and model-specific routing (atomics at the L2
- * in STR, through the coherent L1 in CC).
+ * PFS hint plumbing, model-specific routing (atomics at the L2 in
+ * STR, through the coherent L1 in CC), and atomic arbitration
+ * across cores.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "cmpmem.hh"
 
@@ -198,6 +202,71 @@ TEST(Context, LocalStoreAccessors)
     EXPECT_TRUE(ok);
     EXPECT_EQ(rs.lsReads, 1u);
     EXPECT_EQ(rs.lsWrites, 1u);
+}
+
+TEST(Context, LsCapacityReportsConfiguredLocalStore)
+{
+    SystemConfig str = makeConfig(1, MemModel::STR);
+    str.lsSizeBytes = 16 * 1024;
+    CmpSystem str_sys(str);
+    EXPECT_EQ(str_sys.context(0).lsCapacity(), 16384u);
+
+    CmpSystem cc_sys(makeConfig(1, MemModel::CC));
+    EXPECT_EQ(cc_sys.context(0).lsCapacity(), 0u);
+}
+
+/**
+ * Every core hammers one shared counter with staggered compute
+ * between requests and records the values it receives: the order
+ * those values encode is the arbitration order of the atomics.
+ */
+KernelTask
+atomicHammer(Context &ctx, Addr counter, int rounds,
+             std::vector<std::uint32_t> &observed)
+{
+    for (int i = 0; i < rounds; ++i) {
+        co_await ctx.compute(Cycles(1 + (ctx.tid() * 7 + i * 3) % 23));
+        observed.push_back(co_await ctx.atomicFetchAdd32(counter, 1));
+    }
+}
+
+std::vector<std::vector<std::uint32_t>>
+runHammer(int cores, int rounds)
+{
+    SystemConfig cfg = makeConfig(cores, MemModel::CC);
+    CmpSystem sys(cfg);
+    Addr counter = sys.mem().alloc(4);
+    sys.mem().write<std::uint32_t>(counter, 0);
+
+    std::vector<std::vector<std::uint32_t>> observed(cores);
+    for (int i = 0; i < cores; ++i) {
+        sys.bindKernel(i, atomicHammer(sys.context(i), counter, rounds,
+                                       observed[std::size_t(i)]));
+    }
+    sys.simulate();
+    EXPECT_EQ(sys.mem().read<std::uint32_t>(counter),
+              std::uint32_t(cores * rounds));
+    return observed;
+}
+
+TEST(Context, AtomicFetchAddHammerIsAPermutationAndRepeatable)
+{
+    constexpr int cores = 8;
+    constexpr int rounds = 64;
+    auto observed = runHammer(cores, rounds);
+
+    std::vector<std::uint32_t> all;
+    for (const auto &seq : observed) {
+        ASSERT_EQ(seq.size(), std::size_t(rounds));
+        for (std::size_t i = 1; i < seq.size(); ++i)
+            EXPECT_LT(seq[i - 1], seq[i]);
+        all.insert(all.end(), seq.begin(), seq.end());
+    }
+    std::sort(all.begin(), all.end());
+    for (std::size_t i = 0; i < all.size(); ++i)
+        ASSERT_EQ(all[i], std::uint32_t(i));
+
+    EXPECT_EQ(runHammer(cores, rounds), observed);
 }
 
 } // namespace

@@ -289,6 +289,52 @@ TEST(Watchdog, DrainedQueueWithBlockedCoresIsDeadlock)
     }
 }
 
+KernelTask
+faultyKernel(Context &ctx, int victim, int fault_round)
+{
+    for (int i = 0; i < 100000; ++i) {
+        co_await ctx.compute(Cycles(50));
+        if (ctx.tid() == victim && i == fault_round) {
+            throwSimError(SimErrorKind::Fault,
+                          "test fault on core %d at tick %llu",
+                          ctx.tid(), (unsigned long long)ctx.now());
+        }
+    }
+}
+
+/** Run 8 cores until core 3 throws mid-run; return the error. */
+SimError
+runFaultyKernels()
+{
+    SystemConfig cfg = makeConfig(8, MemModel::CC);
+    CmpSystem sys(cfg);
+    for (int c = 0; c < cfg.cores; ++c)
+        sys.bindKernel(c, faultyKernel(sys.context(c), 3, 37));
+    try {
+        sys.simulate();
+    } catch (const SimError &e) {
+        return e;
+    }
+    ADD_FAILURE() << "the faulting kernel did not surface";
+    return SimError(SimErrorKind::Model, "no error");
+}
+
+TEST(Watchdog, KernelFaultSurfacesFromSimulateAtItsTick)
+{
+    // A kernel coroutine that throws is parked and rethrown out of
+    // the event loop, so simulate() reports the kernel's own error
+    // rather than a deadlock of the cores it left behind.
+    SimError first = runFaultyKernels();
+    EXPECT_EQ(first.kind(), SimErrorKind::Fault);
+    // 38 rounds of 50 cycles at 0.8 GHz (1250 ticks per cycle).
+    EXPECT_STREQ(first.what(), "test fault on core 3 at tick 2375000");
+    EXPECT_TRUE(contains(first.diagnostic(), "=== machine state"));
+
+    SimError second = runFaultyKernels();
+    EXPECT_EQ(second.kind(), SimErrorKind::Fault);
+    EXPECT_STREQ(second.what(), first.what());
+}
+
 TEST(Watchdog, GuardedCleanRunIsBitIdenticalToUnguarded)
 {
     WorkloadParams p;
