@@ -111,10 +111,14 @@ runOne(const Options &o, const std::string &name, bool header)
     s.set("energy_dram_mj", r.energy.dramMj);
 
     if (o.json) {
-        std::printf("{\"workload\": \"%s\", \"model\": \"%s\", "
-                    "\"stats\": %s}\n",
-                    name.c_str(), to_string(o.cfg.model),
-                    s.toJson().c_str());
+        JsonValue stats = JsonValue::makeObject();
+        for (const auto &n : s.names())
+            stats.set(n, JsonValue::makeNumber(s.get(n)));
+        JsonValue line = JsonValue::makeObject();
+        line.set("workload", JsonValue::makeString(name));
+        line.set("model", JsonValue::makeString(to_string(o.cfg.model)));
+        line.set("stats", std::move(stats));
+        std::printf("%s\n", line.dumpCompact().c_str());
     } else if (o.csv) {
         std::string csv = s.toCsv();
         if (header) {

@@ -56,7 +56,6 @@ benches=(
     micro_events
     micro_access
     micro_miss
-    microbench
 )
 
 echo "==> configuring build"
@@ -69,9 +68,7 @@ for b in "${benches[@]}"; do
     echo
     echo "==> ${b}"
     flags=()
-    # microbench is a google-benchmark binary with its own CLI; the
-    # sweep flags belong to the parseBenchArgs() benches only.
-    if [[ "${resume}" -eq 1 && "${b}" != "microbench" ]]; then
+    if [[ "${resume}" -eq 1 ]]; then
         flags+=(--resume)
     fi
     "build/bench/${b}" ${flags[@]+"${flags[@]}"}

@@ -14,10 +14,10 @@
 # compared bit-for-bit and median-throughput against baselines/ via
 # bench_compare; DESIGN.md §14), then re-runs the sweep and
 # supervisor suites with CMPMEM_ISOLATE=1 (every job in a forked
-# sandbox, plus the kill-then-resume gate; DESIGN.md §16), then
-# builds and runs everything again under AddressSanitizer + UBSan
-# (CMPMEM_SANITIZE=ON), runs the sweep-executor suite (the inter-job
-# worker pool, the only code that runs host threads) under
+# sandbox, plus the kill-then-resume gate and micro_miss; DESIGN.md
+# §16), then builds and runs everything again under AddressSanitizer
+# + UBSan (CMPMEM_SANITIZE=ON), runs the sweep-executor suite (the
+# inter-job worker pool, the only code that runs host threads) under
 # ThreadSanitizer (CMPMEM_SANITIZE=thread), and finishes with a
 # widened fault-injection stress pass (CMPMEM_FAULT_SCALE=2) in the
 # sanitizer tree — the recovery paths (ECC re-reads, NACK/DMA
@@ -124,9 +124,11 @@ if [[ "${full}" -eq 1 ]]; then
     # a forked sandbox: the §16 contract says sandboxed execution is
     # bit-identical and the whole determinism story must hold through
     # the process boundary. This includes gate_resume_table3, the
-    # kill-then-resume bench gate.
+    # kill-then-resume bench gate, and micro_miss, whose
+    # zero-allocation check reads miss_path_allocs back through the
+    # sandbox codec.
     CMPMEM_ISOLATE=1 ctest --test-dir build --output-on-failure \
-        -j "${jobs}" -R 'test_sweep|test_supervisor|gate_resume'
+        -j "${jobs}" -R 'test_sweep|test_supervisor|gate_resume|micro_miss'
     run_config build-sanitize "-LE perf" -DCMAKE_BUILD_TYPE=Release \
         -DCMPMEM_SANITIZE=ON
     echo "==> policy smoke sweep (sanitized, one workload, all points)"

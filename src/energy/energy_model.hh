@@ -12,6 +12,7 @@
 #include <string>
 
 #include "energy/energy_params.hh"
+#include "sim/stats.hh"
 
 namespace cmpmem
 {
@@ -36,6 +37,16 @@ struct EnergyBreakdown
 
     std::string format() const;
 };
+
+inline constexpr Field<EnergyBreakdown, double> kEnergyFields[] = {
+    {"core_mj", &EnergyBreakdown::coreMj},
+    {"icache_mj", &EnergyBreakdown::icacheMj},
+    {"dstore_mj", &EnergyBreakdown::dstoreMj},
+    {"network_mj", &EnergyBreakdown::networkMj},
+    {"l2_mj", &EnergyBreakdown::l2Mj},
+    {"dram_mj", &EnergyBreakdown::dramMj},
+};
+static_assert(coversEveryMember(kEnergyFields));
 
 class EnergyModel
 {

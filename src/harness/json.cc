@@ -301,7 +301,8 @@ JsonValue::makeNumber(double d)
 {
     JsonValue v;
     v.k = Kind::Number;
-    v.number = d;
+    // JSON has no NaN or infinity; 0 keeps every dump parseable.
+    v.number = std::isfinite(d) ? d : 0;
     return v;
 }
 

@@ -2,12 +2,12 @@
  * @file
  * Minimal JSON reader/writer for harness tooling.
  *
- * The sweep engine has always *written* BENCH_<name>.json artifacts;
- * the perf-regression gate (harness/bench_compare.hh) needs to read
- * them back, diff them, and annotate them — so this module provides
- * the missing half: a strict recursive-descent parser into an
- * ordered document tree, plus a serializer that round-trips doubles
- * exactly ("%.17g", the same convention the artifact writer uses).
+ * The sweep engine writes its BENCH_<name>.json artifacts, journal
+ * records and sandbox result frames through this module, and the
+ * perf-regression gate (harness/bench_compare.hh) reads them back,
+ * diffs them, and annotates them: a strict recursive-descent parser
+ * into an ordered document tree, plus a serializer that round-trips
+ * doubles exactly ("%.17g").
  *
  * Scope is deliberately small: UTF-8 text, no comments, no trailing
  * commas, objects keep insertion order (duplicate keys are a parse
@@ -41,7 +41,10 @@ class JsonValue
 
     JsonValue() = default;
 
-    /** Leaf constructors (tooling builds summaries with these). */
+    /**
+     * Leaf constructors. makeNumber() stores a non-finite value as 0,
+     * since JSON cannot represent it.
+     */
     static JsonValue makeNull();
     static JsonValue makeBool(bool b);
     static JsonValue makeNumber(double v);

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <thread>
+#include <type_traits>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -34,146 +35,30 @@ namespace
 // StatSet: bench text tables read raw fields (perCore breakdowns,  //
 // miss counters), and the digest is recomputed from the restored   //
 // struct — so a lossy codec would be caught, not papered over.     //
-// One visitor per struct keeps the two directions in lockstep: a   //
-// new counter added to a struct needs exactly one new line here.   //
+// Both directions iterate the same field lists (system/            //
+// cmp_system.hh, energy/energy_model.hh), so a counter listed      //
+// there is carried here.                                           //
 // ---------------------------------------------------------------- //
 
-template <typename CS, typename F>
+/**
+ * Restore each listed member. A missing member, or a counter outside
+ * uint64_t's range (whose cast would be undefined), is a Config error.
+ */
+template <typename S, typename T, std::size_t N>
 void
-visitCoreStats(CS &c, F &&f)
+fieldsFromJson(const JsonValue &obj, S &s, const Field<S, T> (&fields)[N])
 {
-    f("useful_ticks", c.usefulTicks);
-    f("sync_ticks", c.syncTicks);
-    f("load_stall_ticks", c.loadStallTicks);
-    f("store_stall_ticks", c.storeStallTicks);
-    f("bundles", c.bundles);
-    f("fp_bundles", c.fpBundles);
-    f("loads", c.loads);
-    f("stores", c.stores);
-    f("atomics", c.atomics);
-    f("ls_reads", c.lsReads);
-    f("ls_writes", c.lsWrites);
-    f("dma_commands", c.dmaCommands);
-    f("barriers", c.barriers);
-}
-
-template <typename L1, typename F>
-void
-visitL1Counters(L1 &l, F &&f)
-{
-    f("load_hits", l.loadHits);
-    f("load_misses", l.loadMisses);
-    f("store_hits", l.storeHits);
-    f("store_misses", l.storeMisses);
-    f("store_merged", l.storeMerged);
-    f("pfs_stores", l.pfsStores);
-    f("atomic_ops", l.atomicOps);
-    f("writebacks", l.writebacks);
-    f("fills", l.fills);
-    f("snoops_received", l.snoopsReceived);
-    f("invalidations_received", l.invalidationsReceived);
-    f("supplies_provided", l.suppliesProvided);
-    f("prefetches_issued", l.prefetchesIssued);
-    f("prefetches_useful", l.prefetchesUseful);
-    f("fastpath_hits", l.fastpathHits);
-}
-
-template <typename FC, typename F>
-void
-visitFabricCounters(FC &fc, F &&f)
-{
-    f("cluster_requests", fc.clusterRequests);
-    f("global_requests", fc.globalRequests);
-    f("snoop_probes", fc.snoopProbes);
-    f("local_supplies", fc.localSupplies);
-    f("remote_supplies", fc.remoteSupplies);
-    f("upgrades", fc.upgrades);
-    f("writebacks", fc.writebacks);
-    f("uncore_reads", fc.uncoreReads);
-    f("uncore_writes", fc.uncoreWrites);
-    f("remote_atomics", fc.remoteAtomics);
-}
-
-template <typename FS, typename F>
-void
-visitFaultStats(FS &fs, F &&f)
-{
-    f("dram_flips", fs.dramFlips);
-    f("ecc_corrected", fs.eccCorrected);
-    f("ecc_detected", fs.eccDetected);
-    f("net_nacks", fs.netNacks);
-    f("net_retries", fs.netRetries);
-    f("dma_faults", fs.dmaFaults);
-    f("dma_retries", fs.dmaRetries);
-}
-
-template <typename RS, typename F>
-void
-visitRunStatsScalars(RS &s, F &&f)
-{
-    f("exec_ticks", s.execTicks);
-    f("icache_fetches", s.icacheFetches);
-    f("icache_misses", s.icacheMisses);
-    f("ls_reads", s.lsReads);
-    f("ls_writes", s.lsWrites);
-    f("dma_accesses", s.dmaAccesses);
-    f("dma_bytes_read", s.dmaBytesRead);
-    f("dma_bytes_written", s.dmaBytesWritten);
-    f("bus_bytes", s.busBytes);
-    f("xbar_bytes", s.xbarBytes);
-    f("l2_hits", s.l2Hits);
-    f("l2_misses", s.l2Misses);
-    f("l2_refills_avoided", s.l2RefillsAvoided);
-    f("dram_read_bytes", s.dramReadBytes);
-    f("dram_write_bytes", s.dramWriteBytes);
-    f("dram_busy_ticks", s.dramBusyTicks);
-    f("dram_row_hits", s.dramRowHits);
-    f("dram_row_misses", s.dramRowMisses);
-    f("checker_violations", s.checkerViolations);
-    f("checker_events", s.checkerEvents);
-    f("events_executed", s.eventsExecuted);
-    f("peak_pending_events", s.peakPendingEvents);
-    f("calendar_overflows", s.calendarOverflows);
-    f("calendar_bucket_shift", s.calendarBucketShift);
-}
-
-template <typename EB, typename F>
-void
-visitEnergy(EB &e, F &&f)
-{
-    f("core_mj", e.coreMj);
-    f("icache_mj", e.icacheMj);
-    f("dstore_mj", e.dstoreMj);
-    f("network_mj", e.networkMj);
-    f("l2_mj", e.l2Mj);
-    f("dram_mj", e.dramMj);
-}
-
-/** Visitor writing each field as a "%.17g" JSON number member. */
-struct FieldWriter
-{
-    JsonValue &obj;
-
-    template <typename T>
-    void
-    operator()(const char *name, const T &v)
-    {
-        obj.set(name, JsonValue::makeNumber(double(v)));
+    for (const auto &f : fields) {
+        const double v = obj.at(f.name).asNumber();
+        if constexpr (std::is_integral_v<T>) {
+            if (!(v >= 0 && v < 0x1p64))
+                throwSimError(SimErrorKind::Config,
+                              "member \"%s\" is not a counter: %.17g",
+                              f.name, v);
+        }
+        s.*f.member = T(v);
     }
-};
-
-/** Visitor restoring each field; missing members are Config errors. */
-struct FieldReader
-{
-    const JsonValue &obj;
-
-    template <typename T>
-    void
-    operator()(const char *name, T &v)
-    {
-        v = T(obj.at(name).asNumber());
-    }
-};
+}
 
 std::string
 jsonStringOr(const JsonValue &doc, const char *key, const char *dflt)
@@ -501,48 +386,19 @@ jobResultToJson(const JobResult &jr, bool include_log)
     doc.set("signal", JsonValue::makeString(jr.signal));
     doc.set("diagnostic", JsonValue::makeString(jr.diagnostic));
 
-    JsonValue stats = JsonValue::makeObject();
-    FieldWriter sw{stats};
-    visitRunStatsScalars(jr.run.stats, sw);
-
-    JsonValue coreTotal = JsonValue::makeObject();
-    FieldWriter cw{coreTotal};
-    visitCoreStats(jr.run.stats.coreTotal, cw);
-    stats.set("core_total", std::move(coreTotal));
-
+    const RunStats &rs = jr.run.stats;
+    JsonValue stats = fieldsToJson(rs, kRunStatsScalarFields);
+    stats.set("core_total", fieldsToJson(rs.coreTotal, kCoreStatsFields));
     JsonValue perCore = JsonValue::makeArray();
-    for (const auto &cs : jr.run.stats.perCore) {
-        JsonValue one = JsonValue::makeObject();
-        FieldWriter w{one};
-        visitCoreStats(cs, w);
-        perCore.append(std::move(one));
-    }
+    for (const auto &cs : rs.perCore)
+        perCore.append(fieldsToJson(cs, kCoreStatsFields));
     stats.set("per_core", std::move(perCore));
-
-    JsonValue l1 = JsonValue::makeObject();
-    FieldWriter lw{l1};
-    visitL1Counters(jr.run.stats.l1Total, lw);
-    stats.set("l1_total", std::move(l1));
-
-    JsonValue fabric = JsonValue::makeObject();
-    FieldWriter fw{fabric};
-    visitFabricCounters(jr.run.stats.fabric, fw);
-    stats.set("fabric", std::move(fabric));
-
-    JsonValue faults = JsonValue::makeObject();
-    FieldWriter ff{faults};
-    visitFaultStats(jr.run.stats.faults, ff);
-    stats.set("faults", std::move(faults));
-
+    stats.set("l1_total", fieldsToJson(rs.l1Total, kL1CounterFields));
+    stats.set("fabric", fieldsToJson(rs.fabric, kFabricCounterFields));
+    stats.set("faults", fieldsToJson(rs.faults, kFaultStatsFields));
     doc.set("stats", std::move(stats));
+    doc.set("energy", fieldsToJson(jr.run.energy, kEnergyFields));
 
-    JsonValue energy = JsonValue::makeObject();
-    FieldWriter ew{energy};
-    visitEnergy(jr.run.energy, ew);
-    doc.set("energy", std::move(energy));
-
-    doc.set("stats_digest",
-            JsonValue::makeString(jr.run.stats.toStatSet().digest()));
     if (include_log)
         doc.set("log", JsonValue::makeString(jr.log));
     return doc;
@@ -564,32 +420,16 @@ jobResultFromJson(const JsonValue &doc, JobResult &jr)
     jr.diagnostic = jsonStringOr(doc, "diagnostic", "");
     jr.log = jsonStringOr(doc, "log", "");
 
+    RunStats &rs = jr.run.stats;
     const JsonValue &stats = doc.at("stats");
-    FieldReader sr{stats};
-    visitRunStatsScalars(jr.run.stats, sr);
-
-    FieldReader cr{stats.at("core_total")};
-    visitCoreStats(jr.run.stats.coreTotal, cr);
-
-    jr.run.stats.perCore.clear();
-    for (const JsonValue &one : stats.at("per_core").items()) {
-        CoreStats cs;
-        FieldReader r{one};
-        visitCoreStats(cs, r);
-        jr.run.stats.perCore.push_back(cs);
-    }
-
-    FieldReader lr{stats.at("l1_total")};
-    visitL1Counters(jr.run.stats.l1Total, lr);
-
-    FieldReader fr{stats.at("fabric")};
-    visitFabricCounters(jr.run.stats.fabric, fr);
-
-    FieldReader xr{stats.at("faults")};
-    visitFaultStats(jr.run.stats.faults, xr);
-
-    FieldReader er{doc.at("energy")};
-    visitEnergy(jr.run.energy, er);
+    fieldsFromJson(stats, rs, kRunStatsScalarFields);
+    fieldsFromJson(stats.at("core_total"), rs.coreTotal, kCoreStatsFields);
+    for (const JsonValue &one : stats.at("per_core").items())
+        fieldsFromJson(one, rs.perCore.emplace_back(), kCoreStatsFields);
+    fieldsFromJson(stats.at("l1_total"), rs.l1Total, kL1CounterFields);
+    fieldsFromJson(stats.at("fabric"), rs.fabric, kFabricCounterFields);
+    fieldsFromJson(stats.at("faults"), rs.faults, kFaultStatsFields);
+    fieldsFromJson(doc.at("energy"), jr.run.energy, kEnergyFields);
 }
 
 // ---------------------------------------------------------------- //
@@ -599,12 +439,15 @@ jobResultFromJson(const JsonValue &doc, JobResult &jr)
 namespace
 {
 
+/** Bumped whenever a record's shape changes. */
+constexpr int kJournalSchema = 3;
+
 JsonValue
 journalHeader(const std::string &sweep_name)
 {
     JsonValue hdr = JsonValue::makeObject();
     hdr.set("journal", JsonValue::makeString(sweep_name));
-    hdr.set("schema", JsonValue::makeNumber(2));
+    hdr.set("schema", JsonValue::makeNumber(kJournalSchema));
     // The same sizing identity the artifact records: a journal
     // written at one scale must not seed a resume at another.
     hdr.set("scale", JsonValue::makeNumber(benchScale()));
@@ -673,7 +516,7 @@ SweepJournal::record(const JobResult &jr)
 {
     JsonValue rec = JsonValue::makeObject();
     rec.set("id", JsonValue::makeString(jr.job.id));
-    rec.set("config", JsonValue::parse(configIdentityJson(jr.job.cfg)));
+    rec.set("config", configIdentityJson(jr.job.cfg));
     rec.set("stats_digest",
             JsonValue::makeString(jr.run.stats.toStatSet().digest()));
     rec.set("result", jobResultToJson(jr, true));
@@ -741,11 +584,12 @@ SweepJournal::load(const std::string &path,
                       path.c_str(), hdr.at("journal").asString().c_str(),
                       sweep_name.c_str());
     }
-    if (int(hdr.at("schema").asNumber()) != 2) {
+    if (int(hdr.at("schema").asNumber()) != kJournalSchema) {
         throwSimError(SimErrorKind::Config,
                       "refusing --resume: journal %s has schema %d, "
-                      "expected 2",
-                      path.c_str(), int(hdr.at("schema").asNumber()));
+                      "expected %d",
+                      path.c_str(), int(hdr.at("schema").asNumber()),
+                      kJournalSchema);
     }
     if (int(hdr.at("scale").asNumber()) != benchScale() ||
         std::uint64_t(hdr.at("bench_scale_div").asNumber()) !=
@@ -805,10 +649,8 @@ SweepJournal::load(const std::string &path,
 
         // Config identity must match the spec exactly — these are
         // the same fields bench_compare refuses to diff across.
-        const std::string want =
-            JsonValue::parse(configIdentityJson(it->second->cfg))
-                .dumpCompact();
-        if (recConfig.dumpCompact() != want) {
+        if (recConfig.dumpCompact() !=
+            configIdentityJson(it->second->cfg).dumpCompact()) {
             throwSimError(
                 SimErrorKind::Config,
                 "refusing --resume: journal %s config identity for "

@@ -50,6 +50,7 @@
 
 #include "harness/json.hh"
 #include "harness/sweep.hh"
+#include "sim/stats.hh"
 
 namespace cmpmem
 {
@@ -66,11 +67,23 @@ bool isolationEnabled(const SweepOptions &opts);
  */
 JobResult runJobSupervised(const SweepJob &job, const SweepOptions &opts);
 
+/** A JSON object with one number member per entry of @p fields. */
+template <typename S, typename T, std::size_t N>
+JsonValue
+fieldsToJson(const S &s, const Field<S, T> (&fields)[N])
+{
+    JsonValue obj = JsonValue::makeObject();
+    for (const auto &f : fields)
+        obj.set(f.name, JsonValue::makeNumber(double(s.*f.member)));
+    return obj;
+}
+
 /**
- * Serialize a JobResult — raw RunStats (scalars, per-core, fabric,
- * fault counters), energy, outcome, and optionally the captured log
- * — as a JSON object that jobResultFromJson() restores bit-exactly.
- * Shared by the child->parent result pipe and the journal.
+ * Serialize a JobResult — every listed RunStats counter (scalars,
+ * per-core, L1, fabric, fault counters), energy, outcome, and
+ * optionally the captured log — as a JSON object that
+ * jobResultFromJson() restores bit-exactly. Shared by the
+ * child->parent result pipe and the journal.
  */
 JsonValue jobResultToJson(const JobResult &jr, bool include_log);
 

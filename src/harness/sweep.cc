@@ -1,7 +1,6 @@
 #include "harness/sweep.hh"
 
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
@@ -21,99 +20,33 @@
 namespace cmpmem
 {
 
-namespace
-{
-
-/** JSON string escaping (quotes, backslash, control characters). */
-std::string
-jstr(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += fmt("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    out += '"';
-    return out;
-}
-
-/** JSON number (non-finite values are not valid JSON; map to 0). */
-std::string
-jnum(double v)
-{
-    if (!std::isfinite(v))
-        v = 0;
-    return fmt("%.17g", v);
-}
-
-std::string
-jbool(bool b)
-{
-    return b ? "true" : "false";
-}
-
-} // namespace
-
-std::string
+JsonValue
 configIdentityJson(const SystemConfig &cfg)
 {
-    std::string out = "{";
-    out += "\"cores\": " + fmt("%d", cfg.cores);
-    out += ", \"model\": " + jstr(to_string(cfg.model));
-    out += ", \"ghz\": " + jnum(cfg.coreClockGhz);
-    out += ", \"dram_gbps\": " + jnum(cfg.dram.bandwidthGBps);
-    out += ", \"hw_prefetch\": " + jbool(cfg.hwPrefetch);
-    out += ", \"prefetch_depth\": " +
-           fmt("%u", unsigned(cfg.prefetchDepth));
-    out += ", \"pfs\": " + jbool(cfg.pfsEnabled);
-    out += ", \"quantum_cycles\": " +
-           fmt("%llu", (unsigned long long)cfg.quantumCycles);
-    out += ", \"line_bytes\": " + fmt("%u", unsigned(cfg.lineBytes));
-    out += ", \"cluster_size\": " + fmt("%d", cfg.clusterSize);
+    JsonValue id = JsonValue::makeObject();
+    id.set("cores", JsonValue::makeNumber(cfg.cores));
+    id.set("model", JsonValue::makeString(to_string(cfg.model)));
+    id.set("ghz", JsonValue::makeNumber(cfg.coreClockGhz));
+    id.set("dram_gbps", JsonValue::makeNumber(cfg.dram.bandwidthGBps));
+    id.set("hw_prefetch", JsonValue::makeBool(cfg.hwPrefetch));
+    id.set("prefetch_depth", JsonValue::makeNumber(cfg.prefetchDepth));
+    id.set("pfs", JsonValue::makeBool(cfg.pfsEnabled));
+    id.set("quantum_cycles",
+           JsonValue::makeNumber(double(cfg.quantumCycles)));
+    id.set("line_bytes", JsonValue::makeNumber(cfg.lineBytes));
+    id.set("cluster_size", JsonValue::makeNumber(cfg.clusterSize));
     // Cache-policy identity: bench_compare refuses to diff artifacts
     // produced under different policies (same rationale as the
     // scale fields in toJson()).
-    out += ", \"l1_replacement\": " +
-           jstr(to_string(cfg.policy.l1Replacement));
-    out += ", \"l2_replacement\": " +
-           jstr(to_string(cfg.policy.l2Replacement));
-    out += ", \"prefetch_policy\": " +
-           jstr(to_string(cfg.policy.prefetch));
-    out += ", \"bip_throttle\": " +
-           fmt("%u", unsigned(cfg.policy.bipThrottle));
-    out += "}";
-    return out;
+    id.set("l1_replacement",
+           JsonValue::makeString(to_string(cfg.policy.l1Replacement)));
+    id.set("l2_replacement",
+           JsonValue::makeString(to_string(cfg.policy.l2Replacement)));
+    id.set("prefetch_policy",
+           JsonValue::makeString(to_string(cfg.policy.prefetch)));
+    id.set("bip_throttle", JsonValue::makeNumber(cfg.policy.bipThrottle));
+    return id;
 }
-
-namespace
-{
-
-std::string
-energyJson(const EnergyBreakdown &e)
-{
-    std::string out = "{";
-    out += "\"core_mj\": " + jnum(e.coreMj);
-    out += ", \"icache_mj\": " + jnum(e.icacheMj);
-    out += ", \"dstore_mj\": " + jnum(e.dstoreMj);
-    out += ", \"network_mj\": " + jnum(e.networkMj);
-    out += ", \"l2_mj\": " + jnum(e.l2Mj);
-    out += ", \"dram_mj\": " + jnum(e.dramMj);
-    out += ", \"total_mj\": " + jnum(e.totalMj());
-    out += "}";
-    return out;
-}
-
-} // namespace
 
 JobResult
 runJobInProcess(const SweepJob &job, const SweepOptions &opts,
@@ -419,82 +352,75 @@ SweepResult::summary() const
 std::string
 SweepResult::toJson() const
 {
-    std::string out = "{\n";
-    out += "  \"sweep\": " + jstr(sweepName) + ",\n";
-    out += "  \"schema\": 2,\n";
+    JsonValue doc = JsonValue::makeObject();
+    doc.set("sweep", JsonValue::makeString(sweepName));
+    doc.set("schema", JsonValue::makeNumber(2));
     // The effective workload scale and micro-iteration divisor: the
     // two environment knobs that legitimately change simulated
     // stats, recorded so bench_compare can refuse to diff artifacts
     // produced under different sizings (DESIGN.md §14).
-    out += "  \"scale\": " + fmt("%d", benchScale()) + ",\n";
-    out += "  \"bench_scale_div\": " +
-           fmt("%llu", (unsigned long long)benchScaleDivisor()) + ",\n";
-    out += "  \"workers\": " + fmt("%d", nWorkers) + ",\n";
-    out += "  \"wall_seconds\": " + jnum(wallSecs) + ",\n";
-    out += "  \"serial_seconds\": " + jnum(serialSeconds()) + ",\n";
-    out += "  \"speedup\": " + jnum(speedup()) + ",\n";
-    out += "  \"all_verified\": " + jbool(allVerified()) + ",\n";
-    out += "  \"results\": [";
-    bool first = true;
+    doc.set("scale", JsonValue::makeNumber(benchScale()));
+    doc.set("bench_scale_div",
+            JsonValue::makeNumber(double(benchScaleDivisor())));
+    doc.set("workers", JsonValue::makeNumber(nWorkers));
+    doc.set("wall_seconds", JsonValue::makeNumber(wallSecs));
+    doc.set("serial_seconds", JsonValue::makeNumber(serialSeconds()));
+    doc.set("speedup", JsonValue::makeNumber(speedup()));
+    doc.set("all_verified", JsonValue::makeBool(allVerified()));
+
+    JsonValue jobs = JsonValue::makeArray();
     for (const auto &jr : results) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "    {\n";
-        out += "      \"id\": " + jstr(jr.job.id) + ",\n";
-        out += "      \"workload\": " + jstr(jr.job.workload) + ",\n";
-        out += "      \"variant\": " + jstr(jr.run.stats.variant) +
-               ",\n";
-        out += "      \"tags\": {";
-        bool tfirst = true;
-        for (const auto &[k, v] : jr.job.tags) {
-            if (!tfirst)
-                out += ", ";
-            tfirst = false;
-            out += jstr(k) + ": " + jstr(v);
-        }
-        out += "},\n";
-        out += "      \"config\": " + configIdentityJson(jr.job.cfg) +
-               ",\n";
-        out += "      \"ran\": " + jbool(jr.ran) + ",\n";
+        JsonValue job = JsonValue::makeObject();
+        job.set("id", JsonValue::makeString(jr.job.id));
+        job.set("workload", JsonValue::makeString(jr.job.workload));
+        job.set("variant", JsonValue::makeString(jr.run.stats.variant));
+        JsonValue tags = JsonValue::makeObject();
+        for (const auto &[k, v] : jr.job.tags)
+            tags.set(k, JsonValue::makeString(v));
+        job.set("tags", std::move(tags));
+        job.set("config", configIdentityJson(jr.job.cfg));
+        job.set("ran", JsonValue::makeBool(jr.ran));
         // Host-side dispatch bookkeeping, excluded from identity
         // comparison like host_seconds (DESIGN.md §16).
-        out += "      \"attempts\": " + fmt("%d", jr.attempts) + ",\n";
+        job.set("attempts", JsonValue::makeNumber(jr.attempts));
         if (!jr.error.empty()) {
-            out += "      \"error\": {\"kind\": " +
-                   jstr(jr.errorKind.empty() ? "exception"
-                                             : jr.errorKind) +
-                   ", \"message\": " + jstr(jr.error);
+            JsonValue err = JsonValue::makeObject();
+            err.set("kind", JsonValue::makeString(
+                                jr.errorKind.empty() ? "exception"
+                                                     : jr.errorKind));
+            err.set("message", JsonValue::makeString(jr.error));
             if (!jr.signal.empty())
-                out += ", \"signal\": " + jstr(jr.signal);
+                err.set("signal", JsonValue::makeString(jr.signal));
             if (!jr.diagnostic.empty())
-                out += ", \"diagnostic\": " + jstr(jr.diagnostic);
-            out += "},\n";
+                err.set("diagnostic",
+                        JsonValue::makeString(jr.diagnostic));
+            job.set("error", std::move(err));
         }
-        out += "      \"verified\": " + jbool(jr.run.verified) + ",\n";
-        out += "      \"host_seconds\": " + jnum(jr.run.hostSeconds) +
-               ",\n";
-        out += "      \"events_per_sec\": " + jnum(jr.run.eventsPerSec()) +
-               ",\n";
-        out += "      \"accesses_per_sec\": " +
-               jnum(jr.run.accessesPerSec()) + ",\n";
-        out += "      \"misses_per_sec\": " + jnum(jr.run.missesPerSec()) +
-               ",\n";
-        out += "      \"miss_path_allocs\": " +
-               fmt("%llu",
-                   (unsigned long long)jr.run.stats.missPathAllocs) +
-               ",\n";
-        out += "      \"stats\": " + jr.run.stats.toStatSet().toJson() +
-               ",\n";
-        out += "      \"stats_digest\": " +
-               jstr(jr.run.stats.toStatSet().digest()) + ",\n";
-        out += "      \"energy\": " + energyJson(jr.run.energy);
+        job.set("verified", JsonValue::makeBool(jr.run.verified));
+        job.set("host_seconds", JsonValue::makeNumber(jr.run.hostSeconds));
+        job.set("events_per_sec",
+                JsonValue::makeNumber(jr.run.eventsPerSec()));
+        job.set("accesses_per_sec",
+                JsonValue::makeNumber(jr.run.accessesPerSec()));
+        job.set("misses_per_sec",
+                JsonValue::makeNumber(jr.run.missesPerSec()));
+        job.set("miss_path_allocs",
+                JsonValue::makeNumber(double(jr.run.stats.missPathAllocs)));
+        const StatSet set = jr.run.stats.toStatSet();
+        JsonValue stats = JsonValue::makeObject();
+        for (const auto &name : set.names())
+            stats.set(name, JsonValue::makeNumber(set.get(name)));
+        job.set("stats", std::move(stats));
+        job.set("stats_digest", JsonValue::makeString(set.digest()));
+        JsonValue energy = fieldsToJson(jr.run.energy, kEnergyFields);
+        energy.set("total_mj", JsonValue::makeNumber(jr.run.energy.totalMj()));
+        job.set("energy", std::move(energy));
         if (!jr.log.empty())
-            out += ",\n      \"log\": " + jstr(jr.log);
-        out += "\n    }";
+            job.set("log", JsonValue::makeString(jr.log));
+        jobs.append(std::move(job));
     }
-    out += first ? "]\n" : "\n  ]\n";
-    out += "}\n";
-    return out;
+    doc.set("results", std::move(jobs));
+    return doc.dump();
 }
 
 std::string

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/json.hh"
 #include "harness/runner.hh"
 #include "system/config.hh"
 #include "workloads/workload.hh"
@@ -404,7 +405,7 @@ std::string journalPath(const std::string &name);
  * hard-refuses on policy mismatch), so "same config identity" means
  * the same thing to the gate and to resume.
  */
-std::string configIdentityJson(const SystemConfig &cfg);
+JsonValue configIdentityJson(const SystemConfig &cfg);
 
 /** Incremental log consumer for runJobInProcess (may be empty). */
 using LogSink = std::function<void(const std::string &)>;

@@ -17,16 +17,6 @@ StatSet::set(const std::string &name, double value)
         it->second = value;
 }
 
-void
-StatSet::add(const std::string &name, double value)
-{
-    auto [it, inserted] = values.emplace(name, value);
-    if (inserted)
-        order.push_back(name);
-    else
-        it->second += value;
-}
-
 double
 StatSet::get(const std::string &name, double dflt) const
 {
@@ -38,13 +28,6 @@ bool
 StatSet::has(const std::string &name) const
 {
     return values.count(name) != 0;
-}
-
-void
-StatSet::accumulate(const StatSet &other)
-{
-    for (const auto &name : other.order)
-        add(name, other.get(name));
 }
 
 std::string
@@ -61,22 +44,6 @@ StatSet::format() const
                       name.c_str(), get(name));
         out += buf;
     }
-    return out;
-}
-
-std::string
-StatSet::toJson() const
-{
-    std::string out = "{";
-    char buf[128];
-    bool first = true;
-    for (const auto &name : order) {
-        std::snprintf(buf, sizeof(buf), "%s\"%s\": %.17g",
-                      first ? "" : ", ", name.c_str(), get(name));
-        out += buf;
-        first = false;
-    }
-    out += "}";
     return out;
 }
 
@@ -133,56 +100,6 @@ StatSet::clear()
 {
     values.clear();
     order.clear();
-}
-
-Histogram::Histogram(std::uint64_t bucket_width, std::size_t buckets)
-    : width(bucket_width ? bucket_width : 1), counts(buckets ? buckets : 1, 0)
-{
-}
-
-void
-Histogram::sample(std::uint64_t value)
-{
-    std::size_t idx = std::min<std::uint64_t>(value / width,
-                                              counts.size() - 1);
-    ++counts[idx];
-    ++total;
-    sum += value;
-    minSeen = std::min(minSeen, value);
-    maxSeen = std::max(maxSeen, value);
-}
-
-double
-Histogram::mean() const
-{
-    return total ? double(sum) / double(total) : 0.0;
-}
-
-std::uint64_t
-Histogram::percentile(double p) const
-{
-    if (total == 0)
-        return 0;
-    std::uint64_t threshold =
-        static_cast<std::uint64_t>(p * double(total) + 0.5);
-    threshold = std::max<std::uint64_t>(threshold, 1);
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        seen += counts[i];
-        if (seen >= threshold)
-            return (i + 1) * width - 1;
-    }
-    return maxSeen;
-}
-
-void
-Histogram::clear()
-{
-    std::fill(counts.begin(), counts.end(), 0);
-    total = 0;
-    sum = 0;
-    minSeen = ~std::uint64_t(0);
-    maxSeen = 0;
 }
 
 } // namespace cmpmem

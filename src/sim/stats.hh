@@ -11,6 +11,7 @@
 #ifndef CMPMEM_SIM_STATS_HH
 #define CMPMEM_SIM_STATS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -18,6 +19,35 @@
 
 namespace cmpmem
 {
+
+/**
+ * One named counter of a stats struct. Each struct lists its counters
+ * once as an array of these; the sandbox/journal codec, the per-core
+ * sums and the artifact iterate that list, so a new counter is one
+ * new entry.
+ */
+template <typename S, typename T = std::uint64_t>
+struct Field
+{
+    const char *name;
+    T S::*member;
+};
+
+/**
+ * Whether @p fields names every member of @p S exactly once, for a
+ * struct whose members are all of type @p T. For a static_assert
+ * beside each such list.
+ */
+template <typename S, typename T, std::size_t N>
+constexpr bool
+coversEveryMember(const Field<S, T> (&fields)[N])
+{
+    for (std::size_t i = 0; i < N; ++i)
+        for (std::size_t j = 0; j < i; ++j)
+            if (fields[i].member == fields[j].member)
+                return false;
+    return sizeof(S) == N * sizeof(T);
+}
 
 /**
  * An ordered collection of named scalar statistics.
@@ -31,25 +61,16 @@ class StatSet
     /** Set (or overwrite) a statistic. */
     void set(const std::string &name, double value);
 
-    /** Add to a statistic, creating it at zero if absent. */
-    void add(const std::string &name, double value);
-
     /** @return the value, or @p dflt when absent. */
     double get(const std::string &name, double dflt = 0.0) const;
 
     bool has(const std::string &name) const;
-
-    /** Merge another set into this one by summation. */
-    void accumulate(const StatSet &other);
 
     /** Names in insertion order. */
     const std::vector<std::string> &names() const { return order; }
 
     /** Render as aligned "name value" lines. */
     std::string format() const;
-
-    /** Render as a flat JSON object (insertion order preserved). */
-    std::string toJson() const;
 
     /** Render as two CSV lines: header and values. */
     std::string toCsv() const;
@@ -69,37 +90,6 @@ class StatSet
   private:
     std::map<std::string, double> values;
     std::vector<std::string> order;
-};
-
-/**
- * A simple fixed-bucket histogram for latency-style distributions.
- */
-class Histogram
-{
-  public:
-    /** @param bucket_width width of each bucket; @param buckets count. */
-    explicit Histogram(std::uint64_t bucket_width = 1,
-                       std::size_t buckets = 64);
-
-    void sample(std::uint64_t value);
-
-    std::uint64_t count() const { return total; }
-    double mean() const;
-    std::uint64_t min() const { return total ? minSeen : 0; }
-    std::uint64_t max() const { return maxSeen; }
-
-    /** Smallest value v such that at least fraction p of samples <= v. */
-    std::uint64_t percentile(double p) const;
-
-    void clear();
-
-  private:
-    std::uint64_t width;
-    std::vector<std::uint64_t> counts; ///< last bucket catches overflow
-    std::uint64_t total = 0;
-    std::uint64_t sum = 0;
-    std::uint64_t minSeen = ~std::uint64_t(0);
-    std::uint64_t maxSeen = 0;
 };
 
 } // namespace cmpmem

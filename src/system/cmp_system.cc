@@ -184,20 +184,8 @@ CmpSystem::collectStats() const
 
     for (const auto &core : coreVec) {
         rs.perCore.push_back(core->stats());
-        const CoreStats &s = core->stats();
-        rs.coreTotal.usefulTicks += s.usefulTicks;
-        rs.coreTotal.syncTicks += s.syncTicks;
-        rs.coreTotal.loadStallTicks += s.loadStallTicks;
-        rs.coreTotal.storeStallTicks += s.storeStallTicks;
-        rs.coreTotal.bundles += s.bundles;
-        rs.coreTotal.fpBundles += s.fpBundles;
-        rs.coreTotal.loads += s.loads;
-        rs.coreTotal.stores += s.stores;
-        rs.coreTotal.atomics += s.atomics;
-        rs.coreTotal.lsReads += s.lsReads;
-        rs.coreTotal.lsWrites += s.lsWrites;
-        rs.coreTotal.dmaCommands += s.dmaCommands;
-        rs.coreTotal.barriers += s.barriers;
+        for (const auto &f : kCoreStatsFields)
+            rs.coreTotal.*f.member += core->stats().*f.member;
 
         rs.execTicks = std::max(rs.execTicks, core->finishTick());
 
@@ -207,22 +195,8 @@ CmpSystem::collectStats() const
     }
 
     for (const auto &l1 : l1Vec) {
-        const L1Counters &c = l1->counters();
-        rs.l1Total.loadHits += c.loadHits;
-        rs.l1Total.loadMisses += c.loadMisses;
-        rs.l1Total.storeHits += c.storeHits;
-        rs.l1Total.storeMisses += c.storeMisses;
-        rs.l1Total.storeMerged += c.storeMerged;
-        rs.l1Total.pfsStores += c.pfsStores;
-        rs.l1Total.atomicOps += c.atomicOps;
-        rs.l1Total.writebacks += c.writebacks;
-        rs.l1Total.fills += c.fills;
-        rs.l1Total.snoopsReceived += c.snoopsReceived;
-        rs.l1Total.invalidationsReceived += c.invalidationsReceived;
-        rs.l1Total.suppliesProvided += c.suppliesProvided;
-        rs.l1Total.prefetchesIssued += c.prefetchesIssued;
-        rs.l1Total.prefetchesUseful += c.prefetchesUseful;
-        rs.l1Total.fastpathHits += c.fastpathHits;
+        for (const auto &f : kL1CounterFields)
+            rs.l1Total.*f.member += l1->counters().*f.member;
         rs.missPathAllocs += l1->missPathHostAllocs();
     }
 

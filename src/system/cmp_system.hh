@@ -125,6 +125,105 @@ struct RunStats
     StatSet toStatSet() const;
 };
 
+// The counter lists of RunStats and its member structs, in declaration
+// order. Their names are the keys of the sandbox/journal codec
+// (harness/supervisor.hh); toStatSet() keeps its own names, which every
+// golden digest hashes.
+
+inline constexpr Field<CoreStats> kCoreStatsFields[] = {
+    {"useful_ticks", &CoreStats::usefulTicks},
+    {"sync_ticks", &CoreStats::syncTicks},
+    {"load_stall_ticks", &CoreStats::loadStallTicks},
+    {"store_stall_ticks", &CoreStats::storeStallTicks},
+    {"bundles", &CoreStats::bundles},
+    {"fp_bundles", &CoreStats::fpBundles},
+    {"loads", &CoreStats::loads},
+    {"stores", &CoreStats::stores},
+    {"atomics", &CoreStats::atomics},
+    {"ls_reads", &CoreStats::lsReads},
+    {"ls_writes", &CoreStats::lsWrites},
+    {"dma_commands", &CoreStats::dmaCommands},
+    {"barriers", &CoreStats::barriers},
+};
+static_assert(coversEveryMember(kCoreStatsFields));
+
+inline constexpr Field<L1Counters> kL1CounterFields[] = {
+    {"load_hits", &L1Counters::loadHits},
+    {"load_misses", &L1Counters::loadMisses},
+    {"store_hits", &L1Counters::storeHits},
+    {"store_misses", &L1Counters::storeMisses},
+    {"store_merged", &L1Counters::storeMerged},
+    {"pfs_stores", &L1Counters::pfsStores},
+    {"atomic_ops", &L1Counters::atomicOps},
+    {"writebacks", &L1Counters::writebacks},
+    {"fills", &L1Counters::fills},
+    {"snoops_received", &L1Counters::snoopsReceived},
+    {"invalidations_received", &L1Counters::invalidationsReceived},
+    {"supplies_provided", &L1Counters::suppliesProvided},
+    {"prefetches_issued", &L1Counters::prefetchesIssued},
+    {"prefetches_useful", &L1Counters::prefetchesUseful},
+    {"fastpath_hits", &L1Counters::fastpathHits},
+};
+static_assert(coversEveryMember(kL1CounterFields));
+
+inline constexpr Field<FabricCounters> kFabricCounterFields[] = {
+    {"cluster_requests", &FabricCounters::clusterRequests},
+    {"global_requests", &FabricCounters::globalRequests},
+    {"snoop_probes", &FabricCounters::snoopProbes},
+    {"local_supplies", &FabricCounters::localSupplies},
+    {"remote_supplies", &FabricCounters::remoteSupplies},
+    {"upgrades", &FabricCounters::upgrades},
+    {"writebacks", &FabricCounters::writebacks},
+    {"uncore_reads", &FabricCounters::uncoreReads},
+    {"uncore_writes", &FabricCounters::uncoreWrites},
+    {"remote_atomics", &FabricCounters::remoteAtomics},
+};
+static_assert(coversEveryMember(kFabricCounterFields));
+
+inline constexpr Field<FaultStats> kFaultStatsFields[] = {
+    {"dram_flips", &FaultStats::dramFlips},
+    {"ecc_corrected", &FaultStats::eccCorrected},
+    {"ecc_detected", &FaultStats::eccDetected},
+    {"net_nacks", &FaultStats::netNacks},
+    {"net_retries", &FaultStats::netRetries},
+    {"dma_faults", &FaultStats::dmaFaults},
+    {"dma_retries", &FaultStats::dmaRetries},
+};
+static_assert(coversEveryMember(kFaultStatsFields));
+
+/**
+ * RunStats' own integer counters. The struct also holds strings, the
+ * config and the member structs above, so no size check can pin this
+ * list; a new scalar counter needs its entry here.
+ */
+inline constexpr Field<RunStats> kRunStatsScalarFields[] = {
+    {"exec_ticks", &RunStats::execTicks},
+    {"icache_fetches", &RunStats::icacheFetches},
+    {"icache_misses", &RunStats::icacheMisses},
+    {"ls_reads", &RunStats::lsReads},
+    {"ls_writes", &RunStats::lsWrites},
+    {"dma_accesses", &RunStats::dmaAccesses},
+    {"dma_bytes_read", &RunStats::dmaBytesRead},
+    {"dma_bytes_written", &RunStats::dmaBytesWritten},
+    {"bus_bytes", &RunStats::busBytes},
+    {"xbar_bytes", &RunStats::xbarBytes},
+    {"l2_hits", &RunStats::l2Hits},
+    {"l2_misses", &RunStats::l2Misses},
+    {"l2_refills_avoided", &RunStats::l2RefillsAvoided},
+    {"dram_read_bytes", &RunStats::dramReadBytes},
+    {"dram_write_bytes", &RunStats::dramWriteBytes},
+    {"dram_busy_ticks", &RunStats::dramBusyTicks},
+    {"dram_row_hits", &RunStats::dramRowHits},
+    {"dram_row_misses", &RunStats::dramRowMisses},
+    {"checker_violations", &RunStats::checkerViolations},
+    {"checker_events", &RunStats::checkerEvents},
+    {"events_executed", &RunStats::eventsExecuted},
+    {"peak_pending_events", &RunStats::peakPendingEvents},
+    {"calendar_overflows", &RunStats::calendarOverflows},
+    {"calendar_bucket_shift", &RunStats::calendarBucketShift},
+    {"miss_path_allocs", &RunStats::missPathAllocs},
+};
+
 /**
  * The simulated chip multiprocessor.
  */

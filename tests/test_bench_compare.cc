@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -46,6 +47,11 @@ TEST(Json, ParsesAndRoundTripsExactDoubles)
 
     JsonValue again = JsonValue::parse(doc.dump());
     EXPECT_EQ(again.at("x").asNumber(), v);
+
+    // JSON has no NaN or infinity: they are stored as 0, so every
+    // dump parses back.
+    EXPECT_EQ(JsonValue::makeNumber(std::nan("")).dumpCompact(), "0");
+    EXPECT_EQ(JsonValue::makeNumber(-HUGE_VAL).dumpCompact(), "0");
 }
 
 TEST(Json, PreservesInsertionOrderAndNesting)

@@ -563,41 +563,19 @@ TEST(Rng, BoundsRespected)
     }
 }
 
-TEST(StatSet, AccumulateAndFormat)
+TEST(StatSet, LookupAndFormat)
 {
-    StatSet a, b;
+    StatSet a;
     a.set("x", 1);
-    a.add("x", 2);
-    b.set("x", 10);
-    b.set("y", 5);
-    a.accumulate(b);
+    a.set("x", 13);
+    a.set("y", 5);
     EXPECT_DOUBLE_EQ(a.get("x"), 13);
     EXPECT_DOUBLE_EQ(a.get("y"), 5);
+    EXPECT_EQ(a.names(), (std::vector<std::string>{"x", "y"}));
     EXPECT_TRUE(a.has("y"));
     EXPECT_FALSE(a.has("z"));
     EXPECT_DOUBLE_EQ(a.get("z", -1), -1);
     EXPECT_NE(a.format().find("x"), std::string::npos);
-}
-
-TEST(Histogram, MeanMinMaxPercentile)
-{
-    Histogram h(10, 16);
-    for (std::uint64_t v : {5u, 15u, 25u, 35u, 45u})
-        h.sample(v);
-    EXPECT_EQ(h.count(), 5u);
-    EXPECT_EQ(h.min(), 5u);
-    EXPECT_EQ(h.max(), 45u);
-    EXPECT_DOUBLE_EQ(h.mean(), 25.0);
-    EXPECT_LE(h.percentile(0.5), 29u);
-    EXPECT_GE(h.percentile(1.0), 40u);
-}
-
-TEST(Histogram, OverflowBucketCatchesLargeSamples)
-{
-    Histogram h(1, 4);
-    h.sample(1000);
-    EXPECT_EQ(h.count(), 1u);
-    EXPECT_EQ(h.max(), 1000u);
 }
 
 //

@@ -85,30 +85,30 @@ TEST(SupervisorCodec, RoundTripsJobResultBitExactly)
     in.run.verified = true;
     in.run.hostSeconds = 0.1 + 0.2; // not exactly representable
 
+    // Every listed counter gets its own value, so a field the codec
+    // drops or swaps with another cannot decode to the right one.
     RunStats &s = in.run.stats;
     s.workload = "wl";
     s.variant = "var";
-    s.execTicks = 123456789;
-    s.eventsExecuted = 987654321;
-    s.peakPendingEvents = 17;
+    std::uint64_t next = 100;
+    for (const auto &f : kRunStatsScalarFields)
+        s.*f.member = next++;
     s.dramReadBytes = (1ull << 52) + 3; // still exact in a double
-    s.dramWriteBytes = 77;
-    s.l2Hits = 5;
-    s.l2Misses = 6;
-    s.coreTotal.usefulTicks = 1111;
-    s.coreTotal.loads = 42;
+    s.missPathAllocs = 7;
+    for (const auto &f : kCoreStatsFields)
+        s.coreTotal.*f.member = next++;
     s.perCore.resize(2);
-    s.perCore[0].usefulTicks = 500;
-    s.perCore[0].stores = 7;
-    s.perCore[1].syncTicks = 611;
-    s.l1Total.loadMisses = 13;
-    s.l1Total.writebacks = 14;
-    s.fabric.snoopProbes = 15;
-    s.faults.eccCorrected = 16;
-
-    in.run.energy.coreMj = 1.0 / 3.0;
-    in.run.energy.dramMj = 2.5e-7;
-    in.run.energy.l2Mj = 0.1 + 0.2;
+    for (CoreStats &cs : s.perCore)
+        for (const auto &f : kCoreStatsFields)
+            cs.*f.member = next++;
+    for (const auto &f : kL1CounterFields)
+        s.l1Total.*f.member = next++;
+    for (const auto &f : kFabricCounterFields)
+        s.fabric.*f.member = next++;
+    for (const auto &f : kFaultStatsFields)
+        s.faults.*f.member = next++;
+    for (const auto &f : kEnergyFields)
+        in.run.energy.*f.member = double(next++) / 3.0;
 
     const std::string wire =
         jobResultToJson(in, /*include_log=*/true).dumpCompact();
@@ -129,17 +129,28 @@ TEST(SupervisorCodec, RoundTripsJobResultBitExactly)
     EXPECT_EQ(out.error, "none really");
     EXPECT_EQ(out.diagnostic, "diag\ntext");
     EXPECT_EQ(out.log, "warn: something\n");
-    EXPECT_EQ(out.run.stats.execTicks, s.execTicks);
-    EXPECT_EQ(out.run.stats.dramReadBytes, s.dramReadBytes);
-    ASSERT_EQ(out.run.stats.perCore.size(), 2u);
-    EXPECT_EQ(out.run.stats.perCore[0].usefulTicks, 500u);
-    EXPECT_EQ(out.run.stats.perCore[1].syncTicks, 611u);
-    EXPECT_EQ(out.run.stats.l1Total.writebacks, 14u);
-    EXPECT_EQ(out.run.stats.fabric.snoopProbes, 15u);
-    EXPECT_EQ(out.run.stats.faults.eccCorrected, 16u);
-    EXPECT_EQ(out.run.energy.coreMj, in.run.energy.coreMj);
-    EXPECT_EQ(out.run.energy.dramMj, in.run.energy.dramMj);
-    EXPECT_EQ(out.run.energy.l2Mj, in.run.energy.l2Mj);
+    // Host-side only, so the digest above cannot see it.
+    EXPECT_EQ(out.run.stats.missPathAllocs, 7u);
+
+    const RunStats &o = out.run.stats;
+    for (const auto &f : kRunStatsScalarFields)
+        EXPECT_EQ(o.*f.member, s.*f.member) << f.name;
+    for (const auto &f : kCoreStatsFields)
+        EXPECT_EQ(o.coreTotal.*f.member, s.coreTotal.*f.member) << f.name;
+    ASSERT_EQ(o.perCore.size(), 2u);
+    for (std::size_t c = 0; c < 2; ++c)
+        for (const auto &f : kCoreStatsFields)
+            EXPECT_EQ(o.perCore[c].*f.member, s.perCore[c].*f.member)
+                << "core " << c << " " << f.name;
+    for (const auto &f : kL1CounterFields)
+        EXPECT_EQ(o.l1Total.*f.member, s.l1Total.*f.member) << f.name;
+    for (const auto &f : kFabricCounterFields)
+        EXPECT_EQ(o.fabric.*f.member, s.fabric.*f.member) << f.name;
+    for (const auto &f : kFaultStatsFields)
+        EXPECT_EQ(o.faults.*f.member, s.faults.*f.member) << f.name;
+    for (const auto &f : kEnergyFields)
+        EXPECT_EQ(out.run.energy.*f.member, in.run.energy.*f.member)
+            << f.name;
 }
 
 TEST(SupervisorCodec, LogIsOptionalOnTheWire)
@@ -155,12 +166,27 @@ TEST(SupervisorCodec, LogIsOptionalOnTheWire)
     EXPECT_EQ(out.run.stats.execTicks, 5u);
 }
 
-TEST(SupervisorCodec, MissingMemberIsAnError)
+TEST(SupervisorCodec, MissingOrOutOfRangeMemberIsAnError)
 {
     JobResult out;
     EXPECT_THROW(
         jobResultFromJson(JsonValue::parse("{\"ran\": true}"), out),
         SimError);
+
+    // A counter no uint64_t can hold must not reach the cast.
+    for (double bad : {-1.0, 0x1p64}) {
+        JsonValue doc = jobResultToJson(fixedResult("r", 5), false);
+        doc.at("stats").set("exec_ticks", JsonValue::makeNumber(bad));
+        try {
+            jobResultFromJson(doc, out);
+            ADD_FAILURE() << "decoded exec_ticks " << bad;
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimErrorKind::Config);
+            EXPECT_NE(std::string(e.what()).find("exec_ticks"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // ---------------------------------------------------------------- //
@@ -363,6 +389,30 @@ TEST(SweepJournalTest, RefusesForeignSweep)
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), SimErrorKind::Config);
         EXPECT_NE(std::string(e.what()).find("refusing --resume"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::remove(path.c_str());
+}
+
+TEST(SweepJournalTest, RefusesOlderSchema)
+{
+    // A journal written before records carried miss_path_allocs.
+    const std::string path = tempPath("cmpmem_journal_schema.jsonl");
+    {
+        std::ofstream ofs(path, std::ios::trunc | std::ios::binary);
+        ofs << fmt("{\"journal\": \"jt\", \"schema\": 2, \"scale\": %d, "
+                   "\"bench_scale_div\": %llu}\n",
+                   benchScale(),
+                   (unsigned long long)benchScaleDivisor());
+    }
+    std::vector<SweepJob> jobs = {fixedJob("a", 0)};
+    try {
+        SweepJournal::load(path, "jt", jobs);
+        FAIL() << "merged a journal written under schema 2";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), SimErrorKind::Config);
+        EXPECT_NE(std::string(e.what()).find("schema 2"),
                   std::string::npos)
             << e.what();
     }
