@@ -15,14 +15,18 @@
 # bench_compare; DESIGN.md §14), then re-runs the sweep and
 # supervisor suites with CMPMEM_ISOLATE=1 (every job in a forked
 # sandbox, plus the kill-then-resume gate and micro_miss; DESIGN.md
-# §16), then builds and runs everything again under AddressSanitizer
-# + UBSan (CMPMEM_SANITIZE=ON), runs the sweep-executor suite (the
-# inter-job worker pool, the only code that runs host threads) under
-# ThreadSanitizer (CMPMEM_SANITIZE=thread), and finishes with a
-# widened fault-injection stress pass (CMPMEM_FAULT_SCALE=2) in the
-# sanitizer tree — the recovery paths (ECC re-reads, NACK/DMA
-# retries, watchdog kills) are exactly where latent lifetime bugs
-# hide. All passes must be green before a change ships.
+# §16), then runs the host-cost benchmark once for 1 s per workload
+# (benchmark/run.sh exits non-zero on any job whose stats digest
+# differs from benchmark/expected_digests.json) and its replica
+# fidelity test, then builds and runs everything again under
+# AddressSanitizer + UBSan (CMPMEM_SANITIZE=ON), runs the
+# sweep-executor suite (the inter-job worker pool, the only code that
+# runs host threads) under ThreadSanitizer (CMPMEM_SANITIZE=thread),
+# and finishes with a widened fault-injection stress pass
+# (CMPMEM_FAULT_SCALE=2) in the sanitizer tree — the recovery paths
+# (ECC re-reads, NACK/DMA retries, watchdog kills) are exactly where
+# latent lifetime bugs hide. All passes must be green before a
+# change ships.
 #
 # --update-baselines: regenerate baselines/BENCH_*.json from the
 # current tree (Release, CMPMEM_SCALE=0, no iteration divisor) and
@@ -129,6 +133,13 @@ if [[ "${full}" -eq 1 ]]; then
     # sandbox codec.
     CMPMEM_ISOLATE=1 ctest --test-dir build --output-on-failure \
         -j "${jobs}" -R 'test_sweep|test_supervisor|gate_resume|micro_miss'
+    echo "==> benchmark digest pass (benchmark/, 1 s per workload)"
+    # The 19 benchmark jobs' expected digests and the replica fidelity
+    # test are what a host-time change leans on; no other pass builds
+    # benchmark/.
+    bash benchmark/run.sh --seconds 1
+    cmake --build build-bench --target replica_fidelity_test -j "${jobs}"
+    ctest --test-dir build-bench --output-on-failure -L benchmark
     run_config build-sanitize "-LE perf" -DCMAKE_BUILD_TYPE=Release \
         -DCMPMEM_SANITIZE=ON
     echo "==> policy smoke sweep (sanitized, one workload, all points)"

@@ -11,7 +11,9 @@
 # -pg), run the command, and print the top 25 rows of the gprof flat
 # profile. gprof samples every thread of the process, so a sweep's
 # worker thread is covered; DESIGN.md §19 and §20 are attributions
-# made this way.
+# made this way. It has three blind spots (DESIGN.md §21), which the
+# output repeats: coroutine bodies are charged to other symbols,
+# tiny hot functions are under-reported, and libc is invisible.
 #
 # Usage: scripts/profile.sh [--bench NAME] [command args...]
 #        scripts/profile.sh --workload NAME [cmpmem_bench args...]
@@ -87,6 +89,18 @@ if [ "${preset}" = gprof ]; then
     # with SIGPIPE under pipefail.
     gprof -b -p "${cmd[0]}" "${tree}"/gmon.* |
         awk '/^ +[0-9.]+ +[0-9.]+ +[0-9.]+/ { ++n } n <= 25'
+    cat <<'EOF'
+
+==> gprof caveats (DESIGN.md §21):
+    - symbols with a non-numeric '.' suffix are dropped, so coroutine
+      bodies ([clone .actor], i.e. every kernel) are charged to another
+      symbol, often a workload's destructor or setup(), whose call
+      counts then make no sense;
+    - -pg's mcount call per function under-reports tiny hot functions
+      (on str_dma, out-of-line ICacheModel::accrue read 6% under gprof
+      and 15% sampled);
+    - time in libc (memmove, malloc, mcount itself) is not counted.
+EOF
     exit 0
 fi
 

@@ -107,6 +107,16 @@ Context::requireDma() const
                       "commands)");
 }
 
+void
+Context::throwNoLocalStore() const
+{
+    throwSimError(SimErrorKind::Model,
+                  "local store used on core %d, which has none "
+                  "(cache-based model kernels must not call lsRead or "
+                  "lsWrite)",
+                  c.id());
+}
+
 ValueAwait<Context::Ticket>
 Context::dmaGet(Addr mem_addr, std::uint32_t ls_off, std::uint32_t bytes)
 {

@@ -209,7 +209,8 @@ class Context
     lsRead(std::uint32_t offset)
     {
         LocalStore *ls = c.localStore();
-        ls->countRead();
+        if (!ls)
+            throwNoLocalStore();
         ++c.statsMut().lsReads;
         T v = ls->read<T>(offset);
         c.advanceIssue();
@@ -221,7 +222,8 @@ class Context
     lsWrite(std::uint32_t offset, T value)
     {
         LocalStore *ls = c.localStore();
-        ls->countWrite();
+        if (!ls)
+            throwNoLocalStore();
         ++c.statsMut().lsWrites;
         ls->write<T>(offset, value);
         c.advanceIssue();
@@ -260,8 +262,11 @@ class Context
     Core &core() { return c; }
 
   private:
-    /** fatal() unless this core has a DMA engine (STR model). */
+    /** SimErrorKind::Model unless this core has a DMA engine (STR). */
     void requireDma() const;
+
+    /** lsRead/lsWrite on a core without a local store (CC model). */
+    [[noreturn]] void throwNoLocalStore() const;
 
     /** Quantum check shared by every inline-completing operation. */
     OpAwait

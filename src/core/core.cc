@@ -63,43 +63,6 @@ Core::checkDone()
 }
 
 void
-Core::advanceUseful(Cycles c)
-{
-    st.bundles += c;
-    Tick dt = clk.cyclesToTicks(c);
-    curTick += dt;
-    st.usefulTicks += dt;
-
-    // Instruction fetch: statistical I-cache misses count as Useful
-    // time per the paper's breakdown definition.
-    Tick fetch_stall = icacheModel.accrue(c);
-    if (fetch_stall) {
-        curTick += fetch_stall;
-        st.usefulTicks += fetch_stall;
-    }
-}
-
-void
-Core::advanceIssue()
-{
-    Tick dt = clk.period();
-    curTick += dt;
-    st.usefulTicks += dt;
-    Tick fetch_stall = icacheModel.accrue(1);
-    if (fetch_stall) {
-        curTick += fetch_stall;
-        st.usefulTicks += fetch_stall;
-    }
-}
-
-void
-Core::advanceUsefulTicks(Tick t)
-{
-    curTick += t;
-    st.usefulTicks += t;
-}
-
-void
 Core::applySnoopStalls()
 {
     if (!dcachePtr)
@@ -110,12 +73,6 @@ Core::applySnoopStalls()
         curTick += dt;
         st.loadStallTicks += dt;
     }
-}
-
-bool
-Core::needsQuantumFlush() const
-{
-    return curTick > eq.now() + quantumTicks;
 }
 
 void

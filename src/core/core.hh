@@ -122,22 +122,44 @@ class Core
     //
 
     /** Advance local time by @p c cycles of Useful work. */
-    void advanceUseful(Cycles c);
+    void
+    advanceUseful(Cycles c)
+    {
+        st.bundles += c;
+        advanceUsefulTicks(clk.cyclesToTicks(c));
+        // Instruction fetch: statistical I-cache misses count as
+        // Useful time per the paper's breakdown definition.
+        advanceUsefulTicks(icacheModel.accrue(c));
+    }
 
     /**
      * Charge the issue cycle of one memory instruction (a bundle
      * with the load/store slot occupied).
      */
-    void advanceIssue();
+    void
+    advanceIssue()
+    {
+        advanceUsefulTicks(clk.period());
+        advanceUsefulTicks(icacheModel.accrue(1));
+    }
 
     /** Charge @p t ticks of Useful time (icache stalls etc.). */
-    void advanceUsefulTicks(Tick t);
+    void
+    advanceUsefulTicks(Tick t)
+    {
+        curTick += t;
+        st.usefulTicks += t;
+    }
 
     /** Consume pending snoop-occupancy stalls from the D-cache. */
     void applySnoopStalls();
 
     /** Does local time exceed global time by more than the quantum? */
-    bool needsQuantumFlush() const;
+    bool
+    needsQuantumFlush() const
+    {
+        return curTick > eq.now() + quantumTicks;
+    }
 
     /**
      * Record that the kernel is about to suspend waiting for an

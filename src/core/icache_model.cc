@@ -1,23 +1,13 @@
 #include "core/icache_model.hh"
 
-#include <cmath>
-
 namespace cmpmem
 {
 
 ICacheModel::ICacheModel(const ICacheConfig &config) : cfg(config) {}
 
 Tick
-ICacheModel::accrue(std::uint64_t bundles)
+ICacheModel::takeMisses()
 {
-    numFetches += bundles;
-    if (mpki <= 0.0)
-        return 0;
-
-    missCredit += double(bundles) * mpki / 1000.0;
-    if (missCredit < 1.0)
-        return 0;
-
     auto misses = static_cast<std::uint64_t>(missCredit);
     missCredit -= double(misses);
     numMisses += misses;

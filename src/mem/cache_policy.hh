@@ -107,12 +107,19 @@ struct LruEvictionBase
     static std::uint32_t
     victimWay(const Line *set, std::uint32_t assoc)
     {
-        std::uint32_t pick = 0;
         for (std::uint32_t w = 0; w < assoc; ++w) {
             if (!set[w].valid())
                 return w;
-            if (set[w].lruStamp < set[pick].lruStamp)
-                pick = w;
+        }
+        // A full set: a running minimum held in registers, with no
+        // data-dependent branch (the selects compile to cmov); the
+        // strict < keeps ties on the lowest way.
+        std::uint64_t oldest = set[0].lruStamp;
+        std::uint32_t pick = 0;
+        for (std::uint32_t w = 1; w < assoc; ++w) {
+            bool older = set[w].lruStamp < oldest;
+            oldest = older ? set[w].lruStamp : oldest;
+            pick = older ? w : pick;
         }
         return pick;
     }

@@ -16,8 +16,7 @@ LocalBus::LocalBus(const InterconnectConfig &cfg, int cluster_id)
 Tick
 LocalBus::transfer(Tick when, std::uint32_t bytes)
 {
-    Tick start = channel.acquireTransfer(when, bytes);
-    return start + channel.transferTicks(bytes) + latency;
+    return channel.transfer(when, bytes) + latency;
 }
 
 Crossbar::Crossbar(const InterconnectConfig &cfg, int clusters)
@@ -37,17 +36,13 @@ Crossbar::Crossbar(const InterconnectConfig &cfg, int clusters)
 Tick
 Crossbar::sendFromCluster(Tick when, int src_cluster, std::uint32_t bytes)
 {
-    auto &port = inPorts.at(src_cluster);
-    Tick start = port.acquireTransfer(when, bytes);
-    return start + port.transferTicks(bytes) + latency;
+    return inPorts.at(src_cluster).transfer(when, bytes) + latency;
 }
 
 Tick
 Crossbar::deliverToCluster(Tick when, int dst_cluster, std::uint32_t bytes)
 {
-    auto &port = outPorts.at(dst_cluster);
-    Tick start = port.acquireTransfer(when, bytes);
-    return start + port.transferTicks(bytes) + latency;
+    return outPorts.at(dst_cluster).transfer(when, bytes) + latency;
 }
 
 std::uint64_t

@@ -21,7 +21,10 @@
 namespace cmpmem
 {
 
-/** Interconnect parameters (Table 2 defaults). */
+/**
+ * Interconnect parameters (Table 2 defaults). Both widths must be
+ * powers of two, so a transfer's beat count is a shift.
+ */
 struct InterconnectConfig
 {
     /** Cluster bus: 32 bytes wide, 2-cycle latency after arbitration. */

@@ -1,5 +1,6 @@
 #include "mem/l2_cache.hh"
 
+#include <bit>
 #include <cassert>
 #include <string>
 
@@ -31,12 +32,15 @@ L2Cache::L2Cache(const L2Config &c, DramChannel &dram_channel)
         bankArray.push_back(std::make_unique<Bank>(
             geom, repl, "l2_bank" + std::to_string(b)));
     }
+    // The bank arrays have rejected a line size that is not a power
+    // of two, so bank selection is a shift.
+    lineShift = std::uint32_t(std::countr_zero(cfg.lineBytes));
 }
 
 int
 L2Cache::bankFor(Addr line) const
 {
-    return int((line / cfg.lineBytes) & (cfg.banks - 1));
+    return int((line >> lineShift) & (cfg.banks - 1));
 }
 
 void

@@ -125,6 +125,7 @@ class L2Cache : public Diagnosable
     void handleVictim(Tick when, const CacheArray::Victim &victim);
 
     L2Config cfg;
+    std::uint32_t lineShift = 0; ///< log2(cfg.lineBytes)
     DramChannel &dram;
     Observer *obs = nullptr;
     std::vector<std::unique_ptr<Bank>> bankArray;

@@ -1,6 +1,7 @@
 #include "mem/resource.hh"
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
 #include <utility>
 
@@ -92,26 +93,16 @@ Resource::reset()
 
 ChannelResource::ChannelResource(std::string name, std::uint32_t width_bytes,
                                  Tick beat_ticks)
-    : Resource(std::move(name)), width(width_bytes), beat(beat_ticks)
+    : Resource(std::move(name)),
+      width(width_bytes),
+      widthShift(std::uint32_t(std::countr_zero(width_bytes))),
+      beat(beat_ticks)
 {
-    if (width == 0 || beat == 0)
+    if (!std::has_single_bit(width) || beat == 0)
         throwSimError(SimErrorKind::Config,
-                      "%s: channel width and beat time must be positive",
-                      this->name().c_str());
-}
-
-Tick
-ChannelResource::transferTicks(std::uint64_t bytes) const
-{
-    std::uint64_t beats = (bytes + width - 1) / width;
-    return beats * beat;
-}
-
-Tick
-ChannelResource::acquireTransfer(Tick earliest, std::uint64_t bytes)
-{
-    totalBytes += bytes;
-    return acquire(earliest, transferTicks(bytes));
+                      "%s: channel width must be a power of two (got %u B) "
+                      "and beat time positive",
+                      this->name().c_str(), width);
 }
 
 } // namespace cmpmem

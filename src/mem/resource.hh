@@ -96,24 +96,44 @@ class Resource
 
 /**
  * A bandwidth-style resource: converts byte counts into occupancy
- * given a width (bytes moved per beat) and a beat time.
+ * given a width (bytes moved per beat, a power of two) and a beat
+ * time. Every DMA line and coherence message pays this arithmetic,
+ * so the beat count is a shift, not a divide (DESIGN.md §21).
  */
 class ChannelResource : public Resource
 {
   public:
+    /**
+     * Raises SimErrorKind::Config unless the width is a power of two
+     * and the beat is positive.
+     */
     ChannelResource(std::string name, std::uint32_t width_bytes,
                     Tick beat_ticks);
 
-    /** Reserve for a transfer of @p bytes; returns reservation start. */
-    Tick acquireTransfer(Tick earliest, std::uint64_t bytes);
+    /**
+     * Reserve for a transfer of @p bytes, no earlier than @p earliest.
+     * @return the tick the transfer's last beat ends.
+     */
+    Tick
+    transfer(Tick earliest, std::uint64_t bytes)
+    {
+        totalBytes += bytes;
+        Tick occupancy = transferTicks(bytes);
+        return acquire(earliest, occupancy) + occupancy;
+    }
 
     /** Occupancy in ticks for a transfer of @p bytes. */
-    Tick transferTicks(std::uint64_t bytes) const;
+    Tick
+    transferTicks(std::uint64_t bytes) const
+    {
+        return ((bytes + width - 1) >> widthShift) * beat;
+    }
 
     std::uint64_t bytesMoved() const { return totalBytes; }
 
   private:
     std::uint32_t width;
+    std::uint32_t widthShift; ///< log2(width)
     Tick beat;
     std::uint64_t totalBytes = 0;
 };

@@ -35,9 +35,9 @@ DmaEngine::issueSlot(Tick earliest)
 {
     // The engine issues one access per issueOverhead; at most
     // maxOutstanding accesses are in flight at once (retire the
-    // oldest when the ring is full).
+    // oldest when the ring is full). A limit of 0 behaves as 1.
     Tick start = std::max(earliest, engineFree);
-    if (inFlightCount >= cfg.maxOutstanding) {
+    if (inFlightCount == inFlight.size()) {
         start = std::max(start, inFlight[inFlightHead]);
         if (++inFlightHead == inFlight.size())
             inFlightHead = 0;
@@ -124,8 +124,10 @@ DmaEngine::executeChunks(Tick t, Ticket ticket,
                 faults->noteDmaRetry();
                 start = comp + faults->dmaBackoff(attempt);
             }
-            inFlight[(inFlightHead + inFlightCount) % inFlight.size()] =
-                comp;
+            std::size_t slot = inFlightHead + inFlightCount;
+            if (slot >= inFlight.size())
+                slot -= inFlight.size();
+            inFlight[slot] = comp;
             ++inFlightCount;
             done = std::max(done, comp);
 

@@ -11,13 +11,12 @@ LocalStore::LocalStore(std::uint32_t size_bytes)
 }
 
 void
-LocalStore::checkRange(std::uint32_t offset, std::size_t n) const
+LocalStore::throwOutOfRange(std::uint32_t offset, std::size_t n) const
 {
-    if (std::uint64_t(offset) + n > bytes.size())
-        throwSimError(SimErrorKind::Model,
-                      "local store access out of range: offset=%u "
-                      "size=%zu capacity=%zu",
-                      offset, n, bytes.size());
+    throwSimError(SimErrorKind::Model,
+                  "local store access out of range: offset=%u "
+                  "size=%zu capacity=%zu",
+                  offset, n, bytes.size());
 }
 
 void

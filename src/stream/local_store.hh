@@ -34,13 +34,18 @@ class LocalStore
     void read(std::uint32_t offset, void *dst, std::size_t n) const;
     void write(std::uint32_t offset, const void *src, std::size_t n);
 
+    /**
+     * Scalar access, one per lsRead/lsWrite: the bounds check and the
+     * fixed-size copy stay inline. (The core counts the accesses.)
+     */
     template <typename T>
     T
     read(std::uint32_t offset) const
     {
         static_assert(std::is_trivially_copyable_v<T>);
+        checkRange(offset, sizeof(T));
         T v;
-        read(offset, &v, sizeof(T));
+        std::memcpy(&v, bytes.data() + offset, sizeof(T));
         return v;
     }
 
@@ -49,19 +54,13 @@ class LocalStore
     write(std::uint32_t offset, const T &v)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        write(offset, &v, sizeof(T));
+        checkRange(offset, sizeof(T));
+        std::memcpy(bytes.data() + offset, &v, sizeof(T));
     }
 
     /** Direct pointers for the DMA engine's bulk copies. */
     std::uint8_t *data() { return bytes.data(); }
     const std::uint8_t *data() const { return bytes.data(); }
-
-    std::uint64_t coreReads() const { return numReads; }
-    std::uint64_t coreWrites() const { return numWrites; }
-
-    /** Core-side access accounting (timing handled by the Core). */
-    void countRead() { ++numReads; }
-    void countWrite() { ++numWrites; }
 
     //
     // FIFO access mode. Table 2's local store "provides hardware
@@ -96,12 +95,18 @@ class LocalStore
     const Fifo &fifoAt(int id) const;
     Fifo &fifoAt(int id);
 
-    void checkRange(std::uint32_t offset, std::size_t n) const;
+    void
+    checkRange(std::uint32_t offset, std::size_t n) const
+    {
+        if (std::uint64_t(offset) + n > bytes.size())
+            throwOutOfRange(offset, n);
+    }
+
+    [[noreturn]] void throwOutOfRange(std::uint32_t offset,
+                                      std::size_t n) const;
 
     std::vector<std::uint8_t> bytes;
     Fifo fifos[maxFifos];
-    std::uint64_t numReads = 0;
-    std::uint64_t numWrites = 0;
 };
 
 } // namespace cmpmem

@@ -200,10 +200,8 @@ CmpSystem::collectStats() const
         rs.missPathAllocs += l1->missPathHostAllocs();
     }
 
-    for (const auto &ls : lsVec) {
-        rs.lsReads += ls->coreReads();
-        rs.lsWrites += ls->coreWrites();
-    }
+    rs.lsReads = rs.coreTotal.lsReads;
+    rs.lsWrites = rs.coreTotal.lsWrites;
     for (const auto &dma : dmaVec) {
         rs.dmaAccesses += dma->counters().accesses;
         rs.dmaBytesRead += dma->counters().bytesRead;

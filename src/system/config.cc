@@ -1,5 +1,7 @@
 #include "system/config.hh"
 
+#include <bit>
+
 #include "sim/event_queue.hh"
 #include "sim/sim_error.hh"
 
@@ -23,10 +25,11 @@ SystemConfig::validate() const
     if (dram.bandwidthGBps <= 0)
         throwSimError(SimErrorKind::Config,
                       "DRAM bandwidth must be positive");
-    if (net.busWidthBytes == 0 || net.xbarWidthBytes == 0)
+    if (!std::has_single_bit(net.busWidthBytes) ||
+        !std::has_single_bit(net.xbarWidthBytes))
         throwSimError(SimErrorKind::Config,
-                      "interconnect width must be positive (bus %u B, "
-                      "crossbar %u B)",
+                      "interconnect width must be a power of two (bus %u "
+                      "B, crossbar %u B)",
                       net.busWidthBytes, net.xbarWidthBytes);
     if (net.busBeat == 0 || net.xbarBeat == 0)
         throwSimError(SimErrorKind::Config,

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "cmpmem.hh"
@@ -202,6 +203,36 @@ TEST(Context, LocalStoreAccessors)
     EXPECT_TRUE(ok);
     EXPECT_EQ(rs.lsReads, 1u);
     EXPECT_EQ(rs.lsWrites, 1u);
+}
+
+KernelTask
+lsReadOnCore(Context &ctx)
+{
+    co_await ctx.lsRead<std::uint32_t>(0);
+}
+
+KernelTask
+lsWriteOnCore(Context &ctx)
+{
+    co_await ctx.lsWrite<std::uint32_t>(0, 1);
+}
+
+TEST(Context, LocalStoreOnCacheModelIsAModelError)
+{
+    // A CC core has no local store. Touching it is a workload bug
+    // raised as a model error naming the core, as DMA is, so a sweep
+    // loses only that job.
+    for (auto make : {lsReadOnCore, lsWriteOnCore}) {
+        try {
+            runKernel(MemModel::CC, make);
+            ADD_FAILURE() << "local store access accepted on a CC core";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimErrorKind::Model);
+            EXPECT_NE(std::string(e.what()).find("core 0"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Context, LsCapacityReportsConfiguredLocalStore)

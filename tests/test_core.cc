@@ -28,6 +28,70 @@ TEST(ICacheModel, DeterministicAccrual)
     EXPECT_EQ(stall, 2000u);
 }
 
+/** The accrual before the single-bundle credit was precomputed. */
+struct FormulaICache
+{
+    double mpki;
+    Tick missLatency;
+    double missCredit = 0.0;
+    std::uint64_t fetches = 0;
+    std::uint64_t misses = 0;
+
+    Tick
+    accrue(std::uint64_t bundles)
+    {
+        fetches += bundles;
+        if (mpki <= 0.0)
+            return 0;
+        missCredit += double(bundles) * mpki / 1000.0;
+        if (missCredit < 1.0)
+            return 0;
+        auto m = static_cast<std::uint64_t>(missCredit);
+        missCredit -= double(m);
+        misses += m;
+        return Tick(m) * missLatency;
+    }
+};
+
+TEST(ICacheModel, SingleBundleCreditMatchesFormula)
+{
+    // Every rate a workload declares (mpeg2's 0.6 and 1.6 included),
+    // plus 1/3, whose credit is inexact in binary, and 15.1, whose
+    // credits often sum to within an ulp of a whole miss. Runs of
+    // equal calls land on such sums, so a credit one ulp off (say
+    // mpki * 0.001, or b * (mpki / 1000) for b > 1) moves a miss.
+    // Each rate takes accrue(1) alone, as advanceIssue() calls it,
+    // then runs of each b in 2-64, then a seeded mix of mostly 1s.
+    for (double mpki : {0.02, 0.05, 0.1, 0.15, 0.3, 0.4, 0.6, 0.8, 1.6,
+                        1.0 / 3.0, 15.1}) {
+        ICacheConfig cfg;
+        cfg.missLatency = 1000;
+        ICacheModel ic(cfg);
+        ic.setMissesPerKiloInstr(mpki);
+        FormulaICache ref{mpki, cfg.missLatency};
+        int call = 0;
+        auto step = [&](std::uint64_t b) {
+            ++call;
+            ASSERT_EQ(ic.accrue(b), ref.accrue(b))
+                << "mpki " << mpki << " call " << call << " b " << b;
+            ASSERT_EQ(ic.fetches(), ref.fetches);
+            ASSERT_EQ(ic.misses(), ref.misses);
+        };
+        for (int i = 0; i < 200000; ++i)
+            ASSERT_NO_FATAL_FAILURE(step(1));
+        for (std::uint64_t b = 2; b <= 64; ++b) {
+            for (int i = 0; i < 5000; ++i)
+                ASSERT_NO_FATAL_FAILURE(step(b));
+        }
+        Rng rng(7);
+        for (int i = 0; i < 200000; ++i) {
+            ASSERT_NO_FATAL_FAILURE(
+                step(rng.nextBelow(8) == 0 ? 2 + rng.nextBelow(63) : 1));
+        }
+        EXPECT_GT(ic.misses(), 0u) << mpki;
+    }
+}
+
 TEST(ICacheModel, ZeroRateNeverMisses)
 {
     ICacheModel ic(ICacheConfig{});

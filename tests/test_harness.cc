@@ -121,9 +121,10 @@ TEST(Config, ValidateRejectsNonsense)
                   std::string::npos);
     }
 
-    // A zero interconnect width divides by zero in the channel
-    // occupancy and a zero beat makes transfers free; the interconnect
-    // ablation sweeps both widths.
+    // A channel counts beats by shifting, so an interconnect width
+    // must be a power of two (zero included in the rejects), and a
+    // zero beat makes transfers free; the interconnect ablation
+    // sweeps both widths.
     auto expectRejected = [](void (*mutate)(SystemConfig &),
                              const char *what, const char *why) {
         SystemConfig c = makeConfig(4, MemModel::CC);
@@ -141,6 +142,10 @@ TEST(Config, ValidateRejectsNonsense)
                    "interconnect width", "a 0-byte bus");
     expectRejected([](SystemConfig &c) { c.net.xbarWidthBytes = 0; },
                    "interconnect width", "a 0-byte crossbar");
+    expectRejected([](SystemConfig &c) { c.net.busWidthBytes = 24; },
+                   "interconnect width", "a 24-byte bus");
+    expectRejected([](SystemConfig &c) { c.net.xbarWidthBytes = 12; },
+                   "interconnect width", "a 12-byte crossbar");
     expectRejected([](SystemConfig &c) { c.net.busBeat = 0; },
                    "beat time", "a 0-tick bus beat");
     expectRejected([](SystemConfig &c) { c.net.xbarBeat = 0; },

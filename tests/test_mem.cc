@@ -183,6 +183,42 @@ TEST(CacheArray, LruVictimSelection)
     EXPECT_EQ(c.lookup(setStride), nullptr);
 }
 
+/** The victim loop before the branch-free pick, kept as the oracle. */
+std::uint32_t
+linearScanVictim(const CacheArray::Line *set, std::uint32_t assoc)
+{
+    std::uint32_t pick = 0;
+    for (std::uint32_t w = 0; w < assoc; ++w) {
+        if (!set[w].valid())
+            return w;
+        if (set[w].lruStamp < set[pick].lruStamp)
+            pick = w;
+    }
+    return pick;
+}
+
+TEST(CacheArray, VictimPickMatchesLinearScan)
+{
+    // Random sets with some invalid ways and many repeated stamps
+    // (LIP and BIP insert at stamp 0), so ties are common.
+    Rng rng(42);
+    for (std::uint32_t assoc : {1u, 2u, 4u, 16u}) {
+        std::vector<CacheArray::Line> set(assoc);
+        for (int trial = 0; trial < 20000; ++trial) {
+            for (auto &line : set) {
+                line.state = rng.nextBelow(8) == 0 ? MesiState::Invalid
+                                                   : MesiState::Shared;
+                line.lruStamp = rng.nextBelow(2) == 0
+                                    ? rng.nextBelow(4)
+                                    : rng.nextBelow(1000);
+            }
+            ASSERT_EQ(LruEvictionBase::victimWay(set.data(), assoc),
+                      linearScanVictim(set.data(), assoc))
+                << "assoc " << assoc << " trial " << trial;
+        }
+    }
+}
+
 TEST(CacheArray, DirtyVictimReported)
 {
     CacheArray c({64, 1, 32}); // 2 sets, direct-mapped
@@ -909,14 +945,28 @@ TEST(ChannelResource, OccupancyScalesWithBytes)
     ChannelResource ch("ch", 16, 100); // 16 B per 100-tick beat
     EXPECT_EQ(ch.transferTicks(16), 100u);
     EXPECT_EQ(ch.transferTicks(17), 200u); // rounds up to beats
-    ch.acquireTransfer(0, 32);
-    EXPECT_EQ(ch.bytesMoved(), 32u);
+    EXPECT_EQ(ch.transfer(0, 32), 200u);   // ends after its two beats
+    EXPECT_EQ(ch.transfer(0, 16), 300u);   // queued behind it
+    EXPECT_EQ(ch.bytesMoved(), 48u);
+
+    // The shifted beat count equals the ceiling divide it replaced.
+    for (std::uint32_t width : {8u, 16u, 32u, 64u}) {
+        ChannelResource w("w", width, 1250);
+        for (std::uint64_t bytes = 1; bytes <= 256; ++bytes) {
+            ASSERT_EQ(w.transferTicks(bytes),
+                      (bytes + width - 1) / width * 1250)
+                << width << " B wide, " << bytes << " B";
+        }
+    }
 }
 
 TEST(ChannelResource, ZeroWidthOrBeatIsAConfigError)
 {
+    // A width that is not a power of two is rejected too: beats are
+    // counted by shifting.
     for (auto [width, beat] : {std::pair<std::uint32_t, Tick>{0, 100},
-                               std::pair<std::uint32_t, Tick>{16, 0}}) {
+                               std::pair<std::uint32_t, Tick>{16, 0},
+                               std::pair<std::uint32_t, Tick>{24, 100}}) {
         try {
             ChannelResource ch("bus0", width, beat);
             ADD_FAILURE() << "accepted width " << width << " beat " << beat;

@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mem/dram.hh"
@@ -16,6 +17,7 @@
 #include "mem/l1_controller.hh"
 #include "mem/l2_cache.hh"
 #include "sim/rng.hh"
+#include "sim/sim_error.hh"
 #include "stream/dma_engine.hh"
 #include "stream/local_store.hh"
 
@@ -24,16 +26,31 @@ namespace cmpmem
 namespace
 {
 
-TEST(LocalStore, RoundTripAndCounters)
+TEST(LocalStore, RoundTripAndBounds)
 {
     LocalStore ls(1024);
     ls.write<std::uint32_t>(16, 0xabcd1234);
     EXPECT_EQ(ls.read<std::uint32_t>(16), 0xabcd1234u);
-    ls.countRead();
-    ls.countWrite();
-    EXPECT_EQ(ls.coreReads(), 1u);
-    EXPECT_EQ(ls.coreWrites(), 1u);
     EXPECT_EQ(ls.size(), 1024u);
+
+    // The last whole word is in range; one byte further is a
+    // workload bug, raised as a model error.
+    ls.write<std::uint32_t>(1020, 7);
+    EXPECT_EQ(ls.read<std::uint32_t>(1020), 7u);
+    auto expectOutOfRange = [](auto &&access) {
+        try {
+            access();
+            ADD_FAILURE() << "out-of-range access accepted";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimErrorKind::Model);
+            EXPECT_NE(std::string(e.what()).find("out of range"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expectOutOfRange([&] { ls.read<std::uint32_t>(1021); });
+    expectOutOfRange([&] { ls.write<std::uint32_t>(1021, 7); });
+    expectOutOfRange([&] { ls.read<std::uint64_t>(0xfffffffcu); });
 }
 
 class DmaFixture : public testing::Test

@@ -385,8 +385,9 @@ TEST(SweepExecutor, FailingJobDoesNotPoisonSiblings)
 
 TEST(SweepExecutor, ZeroInterconnectWidthFailsOnlyItsPoint)
 {
-    // A zero bus width is a config error of that one point (DESIGN.md
-    // §11), not a process abort or a division by zero in the channel.
+    // A zero or non-power-of-two bus width is a config error of that
+    // one point (DESIGN.md §11), not a process abort or a wrong beat
+    // count in the channel.
     WorkloadParams tiny;
     tiny.scale = 0;
     SweepSpec spec("zero_width");
@@ -394,7 +395,7 @@ TEST(SweepExecutor, ZeroInterconnectWidthFailsOnlyItsPoint)
         .baseParams(tiny)
         .workloads({"fir"})
         .axis(
-            "bus_width", {0, 32},
+            "bus_width", {0, 24, 32},
             [](SystemConfig &cfg, double v) {
                 cfg.net.busWidthBytes = std::uint32_t(v);
             },
@@ -405,11 +406,13 @@ TEST(SweepExecutor, ZeroInterconnectWidthFailsOnlyItsPoint)
     opts.isolate = SweepIsolate::Off;
     SweepResult res = runSweep(spec, opts);
 
-    const JobResult &bad = res.at("fir/bus_width=0");
-    EXPECT_FALSE(bad.ran);
-    EXPECT_EQ(bad.errorKind, "config");
-    EXPECT_NE(bad.error.find("interconnect width"), std::string::npos)
-        << bad.error;
+    for (const char *id : {"fir/bus_width=0", "fir/bus_width=24"}) {
+        const JobResult &bad = res.at(id);
+        EXPECT_FALSE(bad.ran) << id;
+        EXPECT_EQ(bad.errorKind, "config") << id;
+        EXPECT_NE(bad.error.find("interconnect width"), std::string::npos)
+            << bad.error;
+    }
     EXPECT_TRUE(res.at("fir/bus_width=32").ran);
     EXPECT_TRUE(res.at("fir/bus_width=32").run.verified);
 }
