@@ -12,8 +12,9 @@
  * loses at 16 cores; H.264 and MergeSort grow Sync components.
  *
  * Execution goes through the sweep engine: per workload, one 1-core
- * CC baseline job plus the {cores} x {model} points that depend on
- * it, all scheduled on the worker pool.
+ * CC baseline job plus the {cores} x {model} points, all run on the
+ * worker pool. The tables normalize to the baseline once every job
+ * has finished.
  */
 
 #include <cstdio>
@@ -31,16 +32,14 @@ main(int argc, char **argv)
 
     SweepSpec spec("fig2_scaling");
     for (const auto &name : workloadNames()) {
-        const std::string base_id = name + "/base";
-        spec.point({base_id, name, makeConfig(1, MemModel::CC),
-                    benchParams(), {},
+        spec.point({name + "/base", name, makeConfig(1, MemModel::CC),
+                    benchParams(),
                     {{"workload", name}, {"role", "baseline"}}});
         for (int cores : {2, 4, 8, 16}) {
             for (MemModel m : {MemModel::CC, MemModel::STR}) {
                 spec.point({fmt("%s/cores=%d/model=%s", name.c_str(),
                                 cores, to_string(m)),
                             name, makeConfig(cores, m), benchParams(),
-                            {base_id},
                             {{"workload", name},
                              {"cores", fmt("%d", cores)},
                              {"model", to_string(m)}}});

@@ -183,19 +183,15 @@ main(int argc, char **argv)
 
     std::vector<SweepJob> jobs;
     jobs.emplace_back("hit_loop", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{{"job", "hit_loop"}},
                       runHitLoop);
     jobs.emplace_back("stride", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{{"job", "stride"}},
                       runStride);
     jobs.emplace_back("chase", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{{"job", "chase"}},
                       runChase);
     jobs.emplace_back("store_burst", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{
                           {"job", "store_burst"}},
                       runStoreBurst);

@@ -213,25 +213,20 @@ main(int argc, char **argv)
 
     std::vector<SweepJob> jobs;
     jobs.emplace_back("churn", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{{"job", "churn"}},
                       runChurn);
     jobs.emplace_back("burst", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{{"job", "burst"}},
                       runBurst);
     jobs.emplace_back("far", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{{"job", "far"}},
                       runFar);
     jobs.emplace_back("far_tuned", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{
                           {"job", "far_tuned"}},
                       runFarTuned);
     jobs.emplace_back("stress/model=CC", "stress",
                       makeConfig(4, MemModel::CC), stress_params,
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{{"job", "stress"}});
 
     // Serial on purpose: events/sec is a latency measurement, and

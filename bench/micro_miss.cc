@@ -217,22 +217,20 @@ main(int argc, char **argv)
 
     std::vector<SweepJob> jobs;
     jobs.emplace_back("miss_storm", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{
                           {"job", "miss_storm"}},
                       runMissStorm);
     jobs.emplace_back("mshr_merge_fanin", "", SystemConfig{},
-                      WorkloadParams{}, std::vector<std::string>{},
+                      WorkloadParams{},
                       std::map<std::string, std::string>{
                           {"job", "mshr_merge_fanin"}},
                       runMergeFanin);
     jobs.emplace_back("shared_invalidate_pingpong", "", SystemConfig{},
-                      WorkloadParams{}, std::vector<std::string>{},
+                      WorkloadParams{},
                       std::map<std::string, std::string>{
                           {"job", "shared_invalidate_pingpong"}},
                       runPingpong);
     jobs.emplace_back("dma_stream", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{
                           {"job", "dma_stream"}},
                       runDmaStream);

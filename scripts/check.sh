@@ -19,7 +19,8 @@
 # (benchmark/run.sh exits non-zero on any job whose stats digest
 # differs from benchmark/expected_digests.json) and its replica
 # fidelity test, then builds and runs everything again under
-# AddressSanitizer + UBSan (CMPMEM_SANITIZE=ON), runs the
+# AddressSanitizer + UBSan (CMPMEM_SANITIZE=ON) and re-runs the sweep
+# and supervisor suites there with CMPMEM_ISOLATE=1, runs the
 # sweep-executor suite (the inter-job worker pool, the only code that
 # runs host threads) under ThreadSanitizer (CMPMEM_SANITIZE=thread),
 # and finishes with a widened fault-injection stress pass
@@ -142,6 +143,12 @@ if [[ "${full}" -eq 1 ]]; then
     ctest --test-dir build-bench --output-on-failure -L benchmark
     run_config build-sanitize "-LE perf" -DCMAKE_BUILD_TYPE=Release \
         -DCMPMEM_SANITIZE=ON
+    echo "==> isolation pass (sanitized, CMPMEM_ISOLATE=1)"
+    # Sandboxed sweeps under ASan/UBSan: a child forked while another
+    # thread held the sanitizer's allocator lock would hang on it, so
+    # the supervisor forks only from the calling thread (DESIGN.md §16).
+    CMPMEM_ISOLATE=1 ctest --test-dir build-sanitize --output-on-failure \
+        -j "${jobs}" -R 'test_sweep|test_supervisor'
     echo "==> policy smoke sweep (sanitized, one workload, all points)"
     # Every policy point exercises its own allocate/prefetch code
     # under ASan+UBSan; one workload keeps the sanitized run quick.

@@ -1,8 +1,13 @@
 #include "harness/experiment.hh"
 
+#include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "harness/table.hh"
@@ -23,7 +28,46 @@ bool benchResume = false;
 int benchRetries = 1;
 double benchDeadline = 0;
 
+/**
+ * @p text read whole as a T, or fatal() naming @p what (a flag or an
+ * environment variable). Unsigned values keep the C base prefixes of
+ * strtoull(base 0). Empty text, trailing characters, a value out of
+ * T's range, a sign on an unsigned value and a non-finite double are
+ * all malformed.
+ */
+template <typename T>
+T
+parseWhole(const char *what, const char *text)
+{
+    errno = 0;
+    char *end = nullptr;
+    T v{};
+    bool ok = true;
+    if constexpr (std::is_floating_point_v<T>) {
+        v = T(std::strtod(text, &end));
+        ok = std::isfinite(v);
+    } else if constexpr (std::is_unsigned_v<T>) {
+        v = T(std::strtoull(text, &end, 0));
+        ok = !std::strchr(text, '-');
+    } else {
+        const long long w = std::strtoll(text, &end, 10);
+        ok = w >= std::numeric_limits<T>::min() &&
+             w <= std::numeric_limits<T>::max();
+        v = T(w);
+    }
+    if (!ok || end == text || *end != '\0' || errno == ERANGE)
+        fatal("%s: '%s' is not a valid number", what, text);
+    return v;
+}
+
 } // namespace
+
+int
+envInt(const char *name, int dflt)
+{
+    const char *text = std::getenv(name);
+    return text && *text ? parseWhole<int>(name, text) : dflt;
+}
 
 void
 parseBenchArgs(int argc, char **argv)
@@ -34,18 +78,18 @@ parseBenchArgs(int argc, char **argv)
             benchFaults = stressFaultConfig(1);
         } else if (std::strncmp(arg, "--faults=", 9) == 0) {
             benchFaults = stressFaultConfig(
-                std::strtoull(arg + 9, nullptr, 0));
+                parseWhole<std::uint64_t>("--faults", arg + 9));
         } else if (std::strncmp(arg, "--watchdog-ticks=", 17) == 0) {
             benchWatchdog.maxTicks =
-                std::strtoull(arg + 17, nullptr, 0);
+                parseWhole<Tick>("--watchdog-ticks", arg + 17);
         } else if (std::strcmp(arg, "--isolate") == 0) {
             benchIsolate = true;
         } else if (std::strcmp(arg, "--resume") == 0) {
             benchResume = true;
         } else if (std::strncmp(arg, "--retries=", 10) == 0) {
-            benchRetries = std::atoi(arg + 10);
+            benchRetries = parseWhole<int>("--retries", arg + 10);
         } else if (std::strncmp(arg, "--deadline=", 11) == 0) {
-            benchDeadline = std::strtod(arg + 11, nullptr);
+            benchDeadline = parseWhole<double>("--deadline", arg + 11);
         } else {
             fatal("%s: unknown argument '%s' (supported: "
                   "--faults[=SEED], --watchdog-ticks=N, --isolate, "
@@ -101,20 +145,13 @@ benchParams()
 int
 benchScale()
 {
-    if (const char *env = std::getenv("CMPMEM_SCALE"))
-        return std::atoi(env);
-    return 1;
+    return envInt("CMPMEM_SCALE", 1);
 }
 
 std::uint64_t
 benchScaleDivisor()
 {
-    if (const char *env = std::getenv("CMPMEM_BENCH_SCALE")) {
-        long long v = std::atoll(env);
-        if (v > 1)
-            return std::uint64_t(v);
-    }
-    return 1;
+    return std::uint64_t(std::max(envInt("CMPMEM_BENCH_SCALE", 1), 1));
 }
 
 std::uint64_t

@@ -46,10 +46,18 @@ SystemConfig makeConfig(int cores, MemModel model, double ghz = 0.8,
  *   --deadline=SECS      hard per-job wall-clock deadline enforced
  *                        with SIGKILL (isolation only; default none)
  *
- * Unknown arguments are fatal so typos don't silently run the
- * default experiment. Call it first thing in main().
+ * Unknown arguments and malformed values ("--retries=x") are fatal
+ * so typos don't silently run the default experiment. Call it first
+ * thing in main().
  */
 void parseBenchArgs(int argc, char **argv);
+
+/**
+ * The integer in environment variable @p name, or @p dflt when it is
+ * unset or empty. Any other text ("1O", "4 ") is fatal(), naming the
+ * variable. Reads CMPMEM_SCALE, CMPMEM_BENCH_SCALE and CMPMEM_JOBS.
+ */
+int envInt(const char *name, int dflt);
 
 /**
  * Figure 2-style breakdown: each component is the per-core average

@@ -4,11 +4,13 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <fstream>
-#include <thread>
 #include <type_traits>
+#include <utility>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -106,33 +108,6 @@ writeFrame(int fd, char kind, const std::string &payload)
     (void)writeAll(fd, buf.data(), buf.size());
 }
 
-struct FrameParser
-{
-    std::string buf;
-
-    /** Extract the next complete frame; false when none is buffered. */
-    bool
-    next(char &kind, std::string &payload)
-    {
-        const std::size_t nl = buf.find('\n');
-        if (nl == std::string::npos)
-            return false;
-        if (nl < 3 || buf[1] != ' ')
-            return false; // malformed header: stop consuming
-        char *end = nullptr;
-        const unsigned long long len =
-            std::strtoull(buf.c_str() + 2, &end, 10);
-        if (!end || *end != '\n')
-            return false;
-        if (buf.size() < nl + 1 + len)
-            return false; // payload still in flight
-        kind = buf[0];
-        payload = buf.substr(nl + 1, len);
-        buf.erase(0, nl + 1 + len);
-        return true;
-    }
-};
-
 std::string
 signalName(int sig)
 {
@@ -151,16 +126,15 @@ signalName(int sig)
 
 /** Child body after fork: run the job, stream log + result, _exit. */
 [[noreturn]] void
-childRun(const SweepJob &job, const SweepOptions &opts, int fd)
+childRun(const SweepJob &job, int fd)
 {
     // The pipe is the only channel back; a vanished parent must not
     // kill us with SIGPIPE mid-write (writeAll already stops on the
     // resulting EPIPE).
     std::signal(SIGPIPE, SIG_IGN);
-    JobResult jr =
-        runJobInProcess(job, opts, [fd](const std::string &line) {
-            writeFrame(fd, 'L', line);
-        });
+    JobResult jr = runJobInProcess(job, [fd](const std::string &line) {
+        writeFrame(fd, 'L', line);
+    });
     writeFrame(fd, 'R', jobResultToJson(jr, false).dumpCompact());
     ::close(fd);
     // _exit, not exit: the forked image shares atexit handlers and
@@ -169,124 +143,116 @@ childRun(const SweepJob &job, const SweepOptions &opts, int fd)
     ::_exit(0);
 }
 
-/** One fork/supervise cycle; retry policy lives in the caller. */
-JobResult
-superviseOnce(const SweepJob &job, const SweepOptions &opts)
+using WallClock = std::chrono::steady_clock;
+
+/** One live child running one attempt of one job. */
+struct Sandbox
+{
+    std::size_t job = 0; ///< index into the job list
+    int attempt = 1;
+    pid_t pid = -1;
+    int fd = -1; ///< read end of the child's pipe
+    WallClock::time_point deadline;
+    bool killed = false; ///< SIGKILLed at its deadline
+    std::string buf;     ///< bytes of a frame still in flight
+    std::string log;
+    std::string resultJson;
+    bool sawResult = false;
+
+    /** Append @p n piped bytes and take every complete frame. */
+    void
+    consume(const char *data, std::size_t n)
+    {
+        buf.append(data, n);
+        for (;;) {
+            const std::size_t nl = buf.find('\n');
+            if (nl == std::string::npos || nl < 3 || buf[1] != ' ')
+                return; // no header yet, or a malformed one
+            char *end = nullptr;
+            const unsigned long long len =
+                std::strtoull(buf.c_str() + 2, &end, 10);
+            if (!end || *end != '\n' || buf.size() < nl + 1 + len)
+                return; // malformed, or payload still in flight
+            std::string payload = buf.substr(nl + 1, len);
+            if (buf[0] == 'L') {
+                log += payload;
+            } else if (buf[0] == 'R') {
+                resultJson = std::move(payload);
+                sawResult = true;
+            }
+            buf.erase(0, nl + 1 + len);
+        }
+    }
+};
+
+/**
+ * Fork a child that runs @p job and writes to a fresh pipe; the
+ * parent keeps the read end in @p sb. The child also closes the read
+ * ends of the @p live sandboxes it inherited. False (with a warning)
+ * when pipe() or fork() fails.
+ */
+bool
+spawn(const SweepJob &job, const SweepOptions &opts,
+      const std::vector<Sandbox> &live, Sandbox &sb)
 {
     int fds[2];
     if (::pipe(fds) != 0) {
         warn("sweep job '%s': pipe() failed (%s); running in-process",
              job.id.c_str(), std::strerror(errno));
-        return runJobInProcess(job, opts);
+        return false;
     }
-
-    pid_t pid;
-    {
-        // Hold the log mutex across fork(): a child created while
-        // another pool thread owns it would inherit the lock forever
-        // and deadlock on its first fatal()/emitRaw(). Flushing
-        // stdio under the same lock keeps buffered output from being
-        // emitted twice (once per process).
-        std::lock_guard<std::mutex> lock(logMutex());
-        std::fflush(stdout);
-        std::fflush(stderr);
-        pid = ::fork();
-    }
+    // Unflushed stdio would otherwise be written twice, once per
+    // process.
+    std::fflush(stdout);
+    std::fflush(stderr);
+    const pid_t pid = ::fork();
     if (pid < 0) {
         warn("sweep job '%s': fork() failed (%s); running in-process",
              job.id.c_str(), std::strerror(errno));
         ::close(fds[0]);
         ::close(fds[1]);
-        return runJobInProcess(job, opts);
+        return false;
     }
     if (pid == 0) {
         ::close(fds[0]);
-        childRun(job, opts, fds[1]); // does not return
+        for (const Sandbox &other : live)
+            ::close(other.fd);
+        childRun(job, fds[1]); // does not return
     }
     ::close(fds[1]);
+    sb.pid = pid;
+    sb.fd = fds[0];
+    sb.deadline =
+        WallClock::now() + std::chrono::duration_cast<WallClock::duration>(
+                               std::chrono::duration<double>(
+                                   opts.jobDeadlineSeconds));
+    return true;
+}
 
-    using clock = std::chrono::steady_clock;
-    const bool hasDeadline = opts.jobDeadlineSeconds > 0;
-    const clock::time_point deadline =
-        clock::now() + std::chrono::duration_cast<clock::duration>(
-                           std::chrono::duration<double>(
-                               opts.jobDeadlineSeconds));
-
-    FrameParser parser;
-    std::string log, resultJson;
-    bool sawResult = false;
-    bool killedOnDeadline = false;
-    char chunk[4096];
-    for (;;) {
-        int timeout_ms = -1;
-        if (hasDeadline && !killedOnDeadline) {
-            const auto left = deadline - clock::now();
-            const auto ms =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    left)
-                    .count();
-            timeout_ms = int(std::clamp<long long>(ms, 0, 60 * 60 * 1000));
-        }
-        struct pollfd pfd = {fds[0], POLLIN, 0};
-        const int pr = ::poll(&pfd, 1, timeout_ms);
-        if (pr < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (pr == 0) {
-            // Deadline expired with the child still holding the
-            // pipe: hard-kill it, then keep reading — frames already
-            // in the pipe (the partial log) are still ours.
-            ::kill(pid, SIGKILL);
-            killedOnDeadline = true;
-            continue;
-        }
-        const ssize_t n = ::read(fds[0], chunk, sizeof(chunk));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (n == 0)
-            break; // EOF: the child exited (or was killed)
-        parser.buf.append(chunk, std::size_t(n));
-        char kind = 0;
-        std::string payload;
-        while (parser.next(kind, payload)) {
-            if (kind == 'L')
-                log += payload;
-            else if (kind == 'R') {
-                resultJson = std::move(payload);
-                sawResult = true;
-            }
-        }
-    }
-    ::close(fds[0]);
-
-    int status = 0;
-    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-    }
-
+/** The outcome of a reaped sandbox whose child exited with @p status. */
+JobResult
+classify(const SweepJob &job, const Sandbox &sb, int status,
+         const SweepOptions &opts)
+{
     JobResult jr;
     jr.job = job;
-    jr.log = log;
+    jr.log = sb.log;
 
-    if (sawResult) {
+    if (sb.sawResult) {
         // A result that raced a deadline kill still counts: the job
         // finished its work and reported before the SIGKILL landed.
         try {
-            jobResultFromJson(JsonValue::parse(resultJson), jr);
+            jobResultFromJson(JsonValue::parse(sb.resultJson), jr);
             // The codec intentionally omits the config (the artifact
             // renders job.cfg); restore it for table code reading
             // stats.config off the merged result.
             jr.run.stats.config = job.cfg;
-            jr.log = log; // 'L' frames are authoritative
+            jr.log = sb.log; // 'L' frames are authoritative
             return jr;
         } catch (const SimError &e) {
             jr = JobResult();
             jr.job = job;
-            jr.log = log;
+            jr.log = sb.log;
             jr.errorKind = to_string(SimErrorKind::Crash);
             jr.error = strformat(
                 "child result frame did not decode (%s)", e.what());
@@ -294,7 +260,7 @@ superviseOnce(const SweepJob &job, const SweepOptions &opts)
         }
     }
 
-    if (killedOnDeadline) {
+    if (sb.killed) {
         jr.errorKind = to_string(SimErrorKind::Timeout);
         jr.signal = "SIGKILL";
         jr.error = strformat(
@@ -339,36 +305,107 @@ isolationEnabled(const SweepOptions &opts)
     return env && *env && std::strcmp(env, "0") != 0;
 }
 
-JobResult
-runJobSupervised(const SweepJob &job, const SweepOptions &opts)
+void
+runJobsSupervised(const std::vector<SweepJob> &jobs,
+                  const std::vector<std::size_t> &order,
+                  const SweepOptions &opts, int workers,
+                  const JobDone &done)
 {
     const int maxAttempts = 1 + std::max(0, opts.maxRetries);
-    JobResult jr;
-    for (int attempt = 1; attempt <= maxAttempts; ++attempt) {
-        if (attempt > 1) {
-            const double backoff =
-                std::min(opts.retryBackoffSeconds * (attempt - 1),
-                         opts.retryBackoffMaxSeconds);
-            if (backoff > 0) {
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double>(backoff));
+    const bool hasDeadline = opts.jobDeadlineSeconds > 0;
+    std::deque<std::pair<std::size_t, int>> queue; // {job, attempt}
+    for (std::size_t i : order)
+        queue.emplace_back(i, 1);
+    std::vector<Sandbox> live;
+    std::vector<pollfd> pfds;
+    char chunk[4096];
+
+    while (!queue.empty() || !live.empty()) {
+        while (live.size() < std::size_t(workers) && !queue.empty()) {
+            const auto [i, attempt] = queue.front();
+            queue.pop_front();
+            Sandbox sb;
+            sb.job = i;
+            sb.attempt = attempt;
+            if (spawn(jobs[i], opts, live, sb)) {
+                live.push_back(std::move(sb));
+                continue;
+            }
+            JobResult jr = runJobInProcess(jobs[i]);
+            jr.attempts = attempt;
+            done(i, std::move(jr));
+        }
+        if (live.empty())
+            continue;
+
+        // Wait for output from any child, or the nearest deadline.
+        pfds.clear();
+        int timeout_ms = -1;
+        const WallClock::time_point now = WallClock::now();
+        for (const Sandbox &sb : live) {
+            pfds.push_back({sb.fd, POLLIN, 0});
+            if (!hasDeadline || sb.killed)
+                continue;
+            const int ms = int(std::clamp<long long>(
+                std::chrono::ceil<std::chrono::milliseconds>(sb.deadline -
+                                                             now)
+                    .count(),
+                0, 60 * 60 * 1000));
+            timeout_ms = timeout_ms < 0 ? ms : std::min(timeout_ms, ms);
+        }
+        if (::poll(pfds.data(), pfds.size(), timeout_ms) < 0) {
+            if (errno == EINTR)
+                continue;
+            fatal("sweep supervisor: poll() failed (%s)",
+                  std::strerror(errno));
+        }
+
+        // Hard-kill every child past its deadline, then keep reading
+        // it: frames already in its pipe (the partial log) are ours.
+        if (hasDeadline) {
+            const WallClock::time_point after = WallClock::now();
+            for (Sandbox &sb : live) {
+                if (!sb.killed && after >= sb.deadline) {
+                    ::kill(sb.pid, SIGKILL);
+                    sb.killed = true;
+                }
             }
         }
-        jr = superviseOnce(job, opts);
-        jr.attempts = attempt;
-        // Only sandbox death is worth retrying: a deterministic
-        // SimError (bad config, watchdog, checker) would fail the
-        // same way on every attempt.
-        if (!sandboxDied(jr))
-            break;
-        if (attempt < maxAttempts) {
-            warn("sweep job '%s': %s (%s); re-dispatching, attempt "
-                 "%d of %d",
-                 job.id.c_str(), jr.errorKind.c_str(),
-                 jr.error.c_str(), attempt + 1, maxAttempts);
+
+        // Read what arrived. A closed pipe (EOF) means the child
+        // exited or was killed: reap and classify it. Walking back
+        // keeps pfds[k] aligned with live[k] across an erase.
+        for (std::size_t k = pfds.size(); k-- > 0;) {
+            if (!pfds[k].revents)
+                continue;
+            Sandbox &sb = live[k];
+            const ssize_t n = ::read(sb.fd, chunk, sizeof(chunk));
+            if (n > 0)
+                sb.consume(chunk, std::size_t(n));
+            if (n > 0 || (n < 0 && errno == EINTR))
+                continue;
+            ::close(sb.fd);
+            int status = 0;
+            while (::waitpid(sb.pid, &status, 0) < 0 && errno == EINTR) {
+            }
+            // Only sandbox death is worth retrying: a deterministic
+            // SimError (bad config, watchdog, checker) would fail the
+            // same way on every attempt.
+            const SweepJob &job = jobs[sb.job];
+            JobResult jr = classify(job, sb, status, opts);
+            jr.attempts = sb.attempt;
+            if (sandboxDied(jr) && sb.attempt < maxAttempts) {
+                warn("sweep job '%s': %s (%s); re-dispatching, attempt "
+                     "%d of %d",
+                     job.id.c_str(), jr.errorKind.c_str(),
+                     jr.error.c_str(), sb.attempt + 1, maxAttempts);
+                queue.emplace_back(sb.job, sb.attempt + 1);
+            } else {
+                done(sb.job, std::move(jr));
+            }
+            live.erase(live.begin() + std::ptrdiff_t(k));
         }
     }
-    return jr;
 }
 
 JsonValue

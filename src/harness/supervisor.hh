@@ -7,23 +7,27 @@
  * covers failures that *throw*. A SIGSEGV, sanitizer abort, OOM
  * kill, or a host loop that wedges without simulating takes down the
  * whole process — every sibling's finished work with it. The
- * supervisor closes that gap with a process boundary per job:
+ * supervisor closes that gap with a process boundary per job. One
+ * loop on the calling thread forks every child, so no other thread
+ * of the parent can hold a lock (allocator, stdio, log) at fork():
  *
- *   parent (pool worker)                child (fork)
- *   --------------------                ------------
- *   fork(), close write end            close read end
- *   poll() read end with a             runJobInProcess(job)
- *     hard wall-clock deadline           - streams captured log
- *   on deadline: SIGKILL                   lines as 'L' frames
- *   read 'L'/'R' frames to EOF           - serializes the full
- *   waitpid(), classify:                   JobResult as one 'R'
- *     result frame  -> decoded result      frame (exact %.17g
- *     WIFSIGNALED   -> Crash + signal      double round-trip)
- *     nonzero exit  -> Crash             _exit(0)
+ *   parent (calling thread)             child (fork)
+ *   -----------------------             ------------
+ *   keep up to N children alive;        close read end
+ *     per child: pipe(), fork(),        runJobInProcess(job)
+ *     close write end                     - streams captured log
+ *   poll() every read end, timeout          lines as 'L' frames
+ *     = nearest hard deadline             - serializes the full
+ *   past a deadline: SIGKILL                JobResult as one 'R'
+ *   read 'L'/'R' frames; at EOF            frame (exact %.17g
+ *   waitpid(), classify:                    double round-trip)
+ *     result frame  -> decoded result    _exit(0)
+ *     WIFSIGNALED   -> Crash + signal
+ *     nonzero exit  -> Crash
  *     deadline kill -> Timeout
- *   crash/timeout: re-dispatch up to
- *     SweepOptions::maxRetries with
- *     bounded linear backoff
+ *   crash/timeout with retries left
+ *     (SweepOptions::maxRetries):
+ *     back on the dispatch queue
  *
  * Because the child reports raw RunStats fields (not a rendered
  * table), a sandboxed job's artifact entry — stats, digest, energy —
@@ -43,6 +47,7 @@
 #ifndef CMPMEM_HARNESS_SUPERVISOR_HH
 #define CMPMEM_HARNESS_SUPERVISOR_HH
 
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -58,14 +63,23 @@ namespace cmpmem
 /** Resolve SweepOptions::isolate (Env reads CMPMEM_ISOLATE). */
 bool isolationEnabled(const SweepOptions &opts);
 
+/** Receives a finished job's index and result. */
+using JobDone = std::function<void(std::size_t, JobResult)>;
+
 /**
- * Run one job in a forked, supervised child, re-dispatching on
- * crash/timeout per opts.maxRetries. Falls back to in-process
- * execution (with a warning) if fork/pipe themselves fail. Never
- * throws; sandbox death is recorded in the returned JobResult
- * (errorKind "crash"/"timeout", signal name, attempts).
+ * Run jobs[i] for every i in @p order, each in a forked, supervised
+ * child, with at most @p workers children alive at once. Starts no
+ * thread: the calling thread forks, polls, reaps, and calls @p done
+ * once per job, in completion order. A crashed or timed-out child's
+ * job is re-queued while opts.maxRetries allows. A job whose pipe()
+ * or fork() fails runs in-process instead (with a warning). Never
+ * throws; sandbox death is recorded in the JobResult (errorKind
+ * "crash"/"timeout", signal name, attempts).
  */
-JobResult runJobSupervised(const SweepJob &job, const SweepOptions &opts);
+void runJobsSupervised(const std::vector<SweepJob> &jobs,
+                       const std::vector<std::size_t> &order,
+                       const SweepOptions &opts, int workers,
+                       const JobDone &done);
 
 /** A JSON object with one number member per entry of @p fields. */
 template <typename S, typename T, std::size_t N>

@@ -1,12 +1,11 @@
 #include "harness/sweep.hh"
 
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
-#include <deque>
 #include <fstream>
 #include <memory>
-#include <mutex>
+#include <set>
 #include <thread>
 #include <utility>
 
@@ -49,8 +48,7 @@ configIdentityJson(const SystemConfig &cfg)
 }
 
 JobResult
-runJobInProcess(const SweepJob &job, const SweepOptions &opts,
-                const LogSink &log_sink)
+runJobInProcess(const SweepJob &job, const LogSink &log_sink)
 {
     JobResult jr;
     jr.job = job;
@@ -60,21 +58,8 @@ runJobInProcess(const SweepJob &job, const SweepOptions &opts,
         capture.setSink(log_sink);
     double t0 = threadCpuSeconds();
     try {
-        if (job.run) {
-            jr.run = job.run();
-        } else {
-            // Per-job liveness budgets: fill in whatever the job's
-            // own config left unset, so a single hung point cannot
-            // stall the whole sweep.
-            SystemConfig cfg = job.cfg;
-            if (opts.jobMaxTicks && !cfg.watchdog.maxTicks)
-                cfg.watchdog.maxTicks = opts.jobMaxTicks;
-            if (opts.jobMaxHostSeconds > 0 &&
-                cfg.watchdog.maxHostSeconds <= 0) {
-                cfg.watchdog.maxHostSeconds = opts.jobMaxHostSeconds;
-            }
-            jr.run = runWorkload(job.workload, cfg, job.params);
-        }
+        jr.run = job.run ? job.run()
+                         : runWorkload(job.workload, job.cfg, job.params);
         jr.ran = true;
     } catch (const SimError &e) {
         jr.error = e.what();
@@ -202,23 +187,10 @@ SweepSpec::point(SweepJob job)
     return *this;
 }
 
-SweepSpec &
-SweepSpec::baseline(SweepJob job)
-{
-    baselines.push_back(std::move(job));
-    return *this;
-}
-
 std::vector<SweepJob>
 SweepSpec::expand() const
 {
     std::vector<SweepJob> jobs;
-
-    std::vector<std::string> baselineIds;
-    for (const auto &b : baselines) {
-        baselineIds.push_back(b.id);
-        jobs.push_back(b);
-    }
 
     // Cross product: workloads (outermost) x axes in insertion
     // order, visited as a mixed-radix counter so expansion order is
@@ -245,7 +217,6 @@ SweepSpec::expand() const
                 job.cfg = baseCfg;
                 job.params = baseprm;
                 job.workload = w;
-                job.deps = baselineIds;
                 std::string id = w;
                 if (!w.empty())
                     job.tags["workload"] = w;
@@ -443,11 +414,7 @@ SweepResult::writeArtifact() const
 int
 sweepWorkerCount(int requested)
 {
-    int n = requested;
-    if (n <= 0) {
-        if (const char *env = std::getenv("CMPMEM_JOBS"))
-            n = std::atoi(env);
-    }
+    int n = requested > 0 ? requested : envInt("CMPMEM_JOBS", 0);
     if (n <= 0)
         n = int(std::thread::hardware_concurrency());
     return n > 0 ? n : 1;
@@ -475,56 +442,18 @@ runJobs(std::string name, std::vector<SweepJob> jobs,
 {
     const std::size_t n = jobs.size();
 
-    // Validate ids and dependencies; build the dependency graph.
-    std::map<std::string, std::size_t> byId;
+    std::set<std::string> ids;
     for (std::size_t i = 0; i < n; ++i) {
-        SweepJob &job = jobs[i];
+        const SweepJob &job = jobs[i];
         if (job.id.empty())
             fatal("sweep %s: job %zu has an empty id", name.c_str(), i);
-        if (!byId.emplace(job.id, i).second)
+        if (!ids.insert(job.id).second)
             fatal("sweep %s: duplicate job id '%s'", name.c_str(),
                   job.id.c_str());
         if (job.workload.empty() && !job.run)
             fatal("sweep %s: job '%s' has neither a workload nor a "
                   "custom run function",
                   name.c_str(), job.id.c_str());
-    }
-    std::vector<int> remaining(n, 0);
-    std::vector<std::vector<std::size_t>> dependents(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (const auto &dep : jobs[i].deps) {
-            auto it = byId.find(dep);
-            if (it == byId.end())
-                fatal("sweep %s: job '%s' depends on unknown job '%s'",
-                      name.c_str(), jobs[i].id.c_str(), dep.c_str());
-            if (it->second == i)
-                fatal("sweep %s: job '%s' depends on itself",
-                      name.c_str(), jobs[i].id.c_str());
-            dependents[it->second].push_back(i);
-            ++remaining[i];
-        }
-    }
-
-    // Kahn's algorithm up front: reject cycles before spawning the
-    // pool rather than deadlocking in it.
-    {
-        std::vector<int> rem = remaining;
-        std::deque<std::size_t> q;
-        for (std::size_t i = 0; i < n; ++i)
-            if (rem[i] == 0)
-                q.push_back(i);
-        std::size_t seen = 0;
-        while (!q.empty()) {
-            std::size_t i = q.front();
-            q.pop_front();
-            ++seen;
-            for (std::size_t d : dependents[i])
-                if (--rem[d] == 0)
-                    q.push_back(d);
-        }
-        if (seen != n)
-            fatal("sweep %s: dependency cycle among its %zu jobs",
-                  name.c_str(), n);
     }
 
     const int workers =
@@ -557,79 +486,43 @@ runJobs(std::string name, std::vector<SweepJob> jobs,
             opts.journalPath, name, /*fresh=*/!opts.resume);
     }
 
-    const bool isolate = isolationEnabled(opts);
-
+    // Journal-merged jobs are complete (and their logs are not
+    // re-echoed); the rest are dispatched in list order.
     std::vector<JobResult> results(n);
-    std::vector<char> preloaded(n, 0);
+    std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < n; ++i) {
         auto it = resumed.find(jobs[i].id);
         if (it == resumed.end())
-            continue;
-        results[i] = std::move(it->second);
-        preloaded[i] = 1;
+            pending.push_back(i);
+        else
+            results[i] = std::move(it->second);
     }
 
-    auto wall0 = std::chrono::steady_clock::now();
-    {
-        std::mutex m;
-        std::condition_variable cv;
-        std::deque<std::size_t> ready;
-        std::size_t completed = 0;
-        // Journal-merged jobs are already complete: they satisfy
-        // their dependents' ordering constraints without dispatch
-        // (and their logs are not re-echoed).
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!preloaded[i])
-                continue;
-            ++completed;
-            for (std::size_t d : dependents[i])
-                --remaining[d];
+    // Journal before storing: the record is durable by the time
+    // anything downstream can observe the job as done (record() has
+    // its own lock and fsyncs).
+    auto finish = [&](std::size_t i, JobResult jr) {
+        if (journal && SweepJournal::eligible(jr))
+            journal->record(jr);
+        if (opts.echoLogs && !jr.log.empty()) {
+            emitRaw("--- log from sweep job '" + jobs[i].id + "' ---\n" +
+                    jr.log);
         }
-        for (std::size_t i = 0; i < n; ++i)
-            if (!preloaded[i] && remaining[i] == 0)
-                ready.push_back(i);
+        results[i] = std::move(jr);
+    };
 
-        auto workerLoop = [&] {
-            std::unique_lock<std::mutex> lock(m);
-            for (;;) {
-                cv.wait(lock, [&] {
-                    return !ready.empty() || completed == n;
-                });
-                if (ready.empty())
-                    return; // all jobs done
-                std::size_t i = ready.front();
-                ready.pop_front();
-                lock.unlock();
-
-                JobResult jr = isolate
-                                   ? runJobSupervised(jobs[i], opts)
-                                   : runJobInProcess(jobs[i], opts);
-                // Journal before reporting: the record must be
-                // durable by the time anything downstream can
-                // observe the job as done (record() has its own
-                // lock and fsyncs).
-                if (journal && SweepJournal::eligible(jr))
-                    journal->record(jr);
-                if (opts.echoLogs && !jr.log.empty()) {
-                    emitRaw("--- log from sweep job '" + jobs[i].id +
-                            "' ---\n" + jr.log);
-                }
-
-                lock.lock();
-                results[i] = std::move(jr);
-                ++completed;
-                // Dependencies are ordering constraints only: a
-                // failed dependency does not cancel its dependents.
-                for (std::size_t d : dependents[i])
-                    if (--remaining[d] == 0)
-                        ready.push_back(d);
-                cv.notify_all();
-            }
-        };
-
+    auto wall0 = std::chrono::steady_clock::now();
+    if (isolationEnabled(opts)) {
+        runJobsSupervised(jobs, pending, opts, workers, finish);
+    } else {
+        std::atomic<std::size_t> next{0};
         std::vector<std::jthread> pool;
-        for (int w = 0; w < workers; ++w)
-            pool.emplace_back(workerLoop);
+        for (int w = 0; w < workers; ++w) {
+            pool.emplace_back([&] {
+                for (std::size_t k = next++; k < pending.size(); k = next++)
+                    finish(pending[k], runJobInProcess(jobs[pending[k]]));
+            });
+        }
         // jthreads join on destruction.
     }
     auto wall1 = std::chrono::steady_clock::now();

@@ -6,14 +6,14 @@
  * configuration axis is embarrassingly parallel.
  *
  * A SweepSpec names the axes (cross-product) and/or lists explicit
- * points; expand() turns it into a job graph (jobs plus ordering
- * dependencies, e.g. "normalized points run after their baseline");
- * runSweep() executes the graph on a worker pool of std::jthread
- * (default std::thread::hardware_concurrency, overridable with the
- * CMPMEM_JOBS environment variable or SweepOptions::jobs) and
- * collects a SweepResult that renders both the existing text tables
- * (via per-id lookup) and a machine-readable BENCH_<name>.json
- * artifact.
+ * points; expand() turns it into a flat job list, and runSweep() runs
+ * that list on N workers (default std::thread::hardware_concurrency,
+ * overridable with the CMPMEM_JOBS environment variable or
+ * SweepOptions::jobs). Jobs are independent: nothing orders one job
+ * after another. Figures that normalize to a baseline point read it
+ * when they render, after runSweep() returns. The SweepResult renders
+ * both the existing text tables (via per-id lookup) and a
+ * machine-readable BENCH_<name>.json artifact.
  *
  * Determinism: results are stored by job index, not completion
  * order, and each simulation owns all of its mutable state (see the
@@ -45,12 +45,11 @@ struct SweepJob
 
     SweepJob(std::string id_, std::string workload_, SystemConfig cfg_,
              WorkloadParams params_ = {},
-             std::vector<std::string> deps_ = {},
              std::map<std::string, std::string> tags_ = {},
              std::function<RunResult()> run_ = {})
         : id(std::move(id_)), workload(std::move(workload_)),
-          cfg(cfg_), params(params_), deps(std::move(deps_)),
-          tags(std::move(tags_)), run(std::move(run_))
+          cfg(cfg_), params(params_), tags(std::move(tags_)),
+          run(std::move(run_))
     {
     }
 
@@ -62,13 +61,6 @@ struct SweepJob
 
     SystemConfig cfg;
     WorkloadParams params;
-
-    /**
-     * Ids of jobs that must complete before this one starts. A pure
-     * ordering constraint: a dependency that fails to run does not
-     * cancel its dependents (they run and report their own outcome).
-     */
-    std::vector<std::string> deps;
 
     /** Axis-point labels for reporting ("cores" -> "4"). */
     std::map<std::string, std::string> tags;
@@ -198,23 +190,16 @@ class SweepSpec
                               defaultPolicyPoints());
 
     /**
-     * Explicit point, run alongside the cross-product jobs. The
-     * caller provides the id (fatal() at expand() if missing or
-     * duplicated).
+     * Explicit point, run alongside the cross-product jobs (e.g. the
+     * 1-core CC baseline of a normalized figure). The caller provides
+     * the id; runJobs() fatal()s on a missing or duplicated one.
      */
     SweepSpec &point(SweepJob job);
 
     /**
-     * Explicit point that every *cross-product* job depends on —
-     * the "1-core CC baseline" pattern of the normalized figures.
-     */
-    SweepSpec &baseline(SweepJob job);
-
-    /**
-     * Expand into the job graph: baselines, then the cross-product
-     * of workloads x axes (ids "<workload>/<axis>=<label>/..."),
-     * then explicit points. Deterministic order; fatal()s on
-     * duplicate ids, unknown deps, or dependency cycles.
+     * Expand into the job list: the cross-product of workloads x
+     * axes (ids "<workload>/<axis>=<label>/..."), then explicit
+     * points. Deterministic order.
      */
     std::vector<SweepJob> expand() const;
 
@@ -230,7 +215,6 @@ class SweepSpec
     WorkloadParams baseprm;
     std::vector<std::string> workloadList;
     std::vector<Axis> axes;
-    std::vector<SweepJob> baselines;
     std::vector<SweepJob> points;
 };
 
@@ -263,24 +247,6 @@ struct SweepOptions
     bool echoLogs = true;
 
     /**
-     * Per-job simulated-tick budget for registry-workload jobs
-     * (0 = none). Applied as cfg.watchdog.maxTicks where the job's
-     * own config has not already set one; a job that exceeds it is
-     * recorded as a "watchdog" failure with a diagnostic dump, and
-     * the rest of the sweep completes normally. Custom-run jobs
-     * manage their own budgets.
-     */
-    Tick jobMaxTicks = 0;
-
-    /**
-     * Per-job host CPU-time budget in seconds for registry-workload
-     * jobs (0 = none); same semantics as jobMaxTicks. Host time is
-     * nondeterministic — prefer jobMaxTicks when reproducibility of
-     * the failure point matters.
-     */
-    double jobMaxHostSeconds = 0;
-
-    /**
      * Run each job in a forked child supervised by the parent
      * (DESIGN.md §16): a SIGSEGV, abort, or runaway host loop in one
      * job can no longer take down its siblings. Simulated stats are
@@ -294,17 +260,11 @@ struct SweepOptions
      * Extra dispatch attempts for a job whose *sandbox* died (crash
      * or deadline kill) — deterministic SimError failures are
      * recorded, not retried, since they would fail identically
-     * again. 0 disables re-dispatch. Only meaningful under
+     * again. A dead sandbox's job goes back on the dispatch queue
+     * at once. 0 disables re-dispatch. Only meaningful under
      * isolation.
      */
     int maxRetries = 0;
-
-    /**
-     * Bounded linear backoff between re-dispatches: attempt n sleeps
-     * n * retryBackoffSeconds, capped at retryBackoffMaxSeconds.
-     */
-    double retryBackoffSeconds = 0.05;
-    double retryBackoffMaxSeconds = 1.0;
 
     /**
      * Hard per-attempt wall-clock deadline in seconds (0 = none),
@@ -330,7 +290,7 @@ struct SweepOptions
     bool resume = false;
 };
 
-/** Structured results of a sweep, in job-graph order. */
+/** Structured results of a sweep, in job-list order. */
 class SweepResult
 {
   public:
@@ -383,10 +343,17 @@ class SweepResult
     int nWorkers = 1;
 };
 
-/** Expand @p spec and execute the job graph on the worker pool. */
+/** Expand @p spec and run its jobs (see runJobs()). */
 SweepResult runSweep(const SweepSpec &spec, const SweepOptions &opts = {});
 
-/** Execute an already-expanded job graph (id/dep validation applies). */
+/**
+ * Run an already-expanded job list. fatal()s on an empty or
+ * duplicated id, or a job with neither a workload nor a run
+ * function. In process, N std::jthread workers take the next job
+ * from one atomic counter (one worker even for a serial run). Under
+ * isolation the calling thread forks every sandbox and starts no
+ * thread (harness/supervisor.hh).
+ */
 SweepResult runJobs(std::string name, std::vector<SweepJob> jobs,
                     const SweepOptions &opts = {});
 
@@ -412,13 +379,13 @@ using LogSink = std::function<void(const std::string &)>;
 
 /**
  * Execute one job on the calling thread (the isolation-off body of
- * the executor, also the body a sandbox child runs after fork).
+ * the executor, also the body a sandbox child runs after fork). A
+ * registry job runs job.cfg as given, its watchdog included.
  * Catches SimError/std::exception into the JobResult taxonomy;
  * never throws. @p log_sink additionally receives each captured log
  * line as it is produced.
  */
-JobResult runJobInProcess(const SweepJob &job, const SweepOptions &opts,
-                          const LogSink &log_sink = {});
+JobResult runJobInProcess(const SweepJob &job, const LogSink &log_sink = {});
 
 } // namespace cmpmem
 

@@ -13,19 +13,13 @@ FunctionalMemory::pageFor(Addr addr)
     if (base >= allocBase && base - allocBase < region.size())
         return region.data() + (base - allocBase);
 
-    TransEntry &ent = trans[(base >> pageShift) & (transSlots - 1)];
-    if (ent.base == base)
-        return ent.ptr;
-
     auto it = pages.find(base);
     if (it == pages.end()) {
         auto page = std::make_unique<std::uint8_t[]>(pageBytes);
         std::memset(page.get(), 0, pageBytes);
         it = pages.emplace(base, std::move(page)).first;
     }
-    ent.base = base;
-    ent.ptr = it->second.get();
-    return ent.ptr;
+    return it->second.get();
 }
 
 const std::uint8_t *
@@ -35,16 +29,8 @@ FunctionalMemory::pageForRead(Addr addr) const
     if (base >= allocBase && base - allocBase < region.size())
         return region.data() + (base - allocBase);
 
-    TransEntry &ent = trans[(base >> pageShift) & (transSlots - 1)];
-    if (ent.base == base)
-        return ent.ptr;
-
     auto it = pages.find(base);
-    if (it == pages.end())
-        return nullptr; // do not cache misses: the page may appear later
-    ent.base = base;
-    ent.ptr = it->second.get();
-    return ent.ptr;
+    return it == pages.end() ? nullptr : it->second.get();
 }
 
 void
@@ -109,8 +95,6 @@ FunctionalMemory::alloc(std::size_t size, std::size_t align)
                 ++it;
             }
         }
-        // Migrated pages were freed; drop any cached translations.
-        trans.fill(TransEntry{});
     }
     return base;
 }

@@ -11,23 +11,19 @@
  * data-carrying cache hierarchy would.
  *
  * Every simulated load/store lands here, so the lookup cost is part
- * of the host-time access fast path (DESIGN.md §13). Two layers keep
- * the common case hash-free:
- *
- *  - the bump-allocated range lives in one contiguous, page-aligned
- *    region; accesses inside it are a bounds check and a memcpy;
- *  - accesses outside it go through a small direct-mapped
- *    page-translation cache (last-N page pointers) in front of the
- *    sparse page map.
- *
- * Neither layer is architecturally visible: values and zero-fill
+ * of the host-time access fast path (DESIGN.md §13). The
+ * bump-allocated range lives in one contiguous, page-aligned region,
+ * so an access inside it is a bounds check and a memcpy. Any other
+ * access (a probe before the first alloc(), an address no allocation
+ * covers, a tail past the region's end) goes to the sparse page map.
+ * Workloads touch only what they allocated, so that path is cold.
+ * The region is not architecturally visible: values and zero-fill
  * semantics are identical to the plain map.
  */
 
 #ifndef CMPMEM_MEM_FUNCTIONAL_MEMORY_HH
 #define CMPMEM_MEM_FUNCTIONAL_MEMORY_HH
 
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -134,27 +130,8 @@ class FunctionalMemory
     const std::uint8_t *pageForRead(Addr addr) const;
 
     static constexpr Addr allocBase = 0x10000;
-    static constexpr Addr pageShift = 12;
-    static_assert(Addr(1) << pageShift == pageBytes);
-
-    /**
-     * Direct-mapped page-translation cache over the sparse map: one
-     * {page base, host pointer} pair per slot, indexed by page
-     * number. Only materialized map pages are cached (misses still
-     * hash; untouched pages read zero without materializing), and
-     * map pages are never freed while the memory lives, so positive
-     * entries stay valid until region growth migrates the page —
-     * alloc() invalidates the cache then.
-     */
-    struct TransEntry
-    {
-        Addr base = ~Addr(0); ///< page base; ~0 = empty slot
-        std::uint8_t *ptr = nullptr;
-    };
-    static constexpr std::size_t transSlots = 16;
 
     std::unordered_map<Addr, Page> pages;
-    mutable std::array<TransEntry, transSlots> trans;
 
     /** Contiguous backing for [allocBase, allocBase+region.size()). */
     std::vector<std::uint8_t> region;

@@ -3,12 +3,15 @@
  * Minimal logging in the gem5 spirit: fatal() for user errors,
  * panic() for simulator bugs, warn()/inform() for status.
  *
- * Thread safety: the sweep engine (harness/sweep.hh) runs many
- * simulations concurrently, so the logging layer is thread-aware.
- * Direct writes are serialized under one mutex, the quiet flag is
- * atomic, and a worker can install a thread-local LogCapture so the
- * messages of one job are buffered and re-emitted as a block instead
- * of interleaving with other jobs mid-line.
+ * Thread safety: the sweep engine's in-process workers
+ * (harness/sweep.hh) run many simulations concurrently, so the
+ * logging layer is thread-aware. Direct writes are serialized under
+ * one internal mutex, the quiet flag is atomic, and a worker can
+ * install a thread-local LogCapture so the messages of one job are
+ * buffered and re-emitted as a block instead of interleaving with
+ * other jobs mid-line. Sandboxed sweeps fork only from the calling
+ * thread while no worker runs (harness/supervisor.hh), so a child
+ * never inherits that mutex locked.
  */
 
 #ifndef CMPMEM_SIM_LOG_HH
@@ -16,7 +19,6 @@
 
 #include <cstdarg>
 #include <functional>
-#include <mutex>
 #include <string>
 
 namespace cmpmem
@@ -55,16 +57,6 @@ void emitRaw(const std::string &text);
 
 /** Current quiet state (atomic load). */
 bool isQuiet();
-
-/**
- * The mutex serializing direct stderr writes. Exposed for one
- * purpose: the fork-based job supervisor (harness/supervisor.hh)
- * holds it across fork() so a child is never created while another
- * thread owns the lock — the child would inherit a locked,
- * never-to-be-unlocked mutex and deadlock on its first fatal() or
- * emitRaw(). Not for general use.
- */
-std::mutex &logMutex();
 
 /**
  * RAII sink that redirects this thread's warn()/inform() output into

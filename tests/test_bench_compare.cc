@@ -137,11 +137,9 @@ makeArtifact()
     };
     std::vector<SweepJob> jobs;
     jobs.emplace_back("alpha", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{},
                       fixed(1000, 5000));
     jobs.emplace_back("beta", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{},
                       fixed(2000, 9000));
     SweepOptions opts;

@@ -216,8 +216,8 @@ TEST(StressDeterminism, SharingDegreeChangesTraffic)
 /**
  * Golden regressions pinning one CC and one STR workload to the
  * exact RunStats recorded before the memory-access fast path (the
- * page-translation cache, shift/mask set indexing, MRU-way probe,
- * and per-core line-hit micro path) landed. Run with the fast path
+ * contiguous functional-memory region, shift/mask set indexing,
+ * MRU-way probe, and per-core line-hit micro path) landed. Run with the fast path
  * both enabled and force-disabled: the two configurations must be
  * bit-identical to each other and to the recorded baseline, which is
  * the fast path's core contract.

@@ -1,10 +1,17 @@
 /**
  * @file
  * Harness tests: table formatting, normalized breakdowns, stat-set
- * export, and the runner contract.
+ * export, the runner contract, and the bench flag and environment
+ * parsing.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <optional>
+#include <string>
+#include <thread>
 
 #include "cmpmem.hh"
 
@@ -150,6 +157,97 @@ TEST(Config, ValidateRejectsNonsense)
                    "beat time", "a 0-tick bus beat");
     expectRejected([](SystemConfig &c) { c.net.xbarBeat = 0; },
                    "beat time", "a 0-tick crossbar beat");
+}
+
+/** Sets (or, with null, unsets) one environment variable for a scope. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : var(name)
+    {
+        if (const char *prev = std::getenv(name))
+            saved = prev;
+        set(value);
+    }
+    ~ScopedEnv() { set(saved ? saved->c_str() : nullptr); }
+
+    void
+    set(const char *value)
+    {
+        if (value)
+            setenv(var, value, 1);
+        else
+            unsetenv(var);
+    }
+
+  private:
+    const char *var;
+    std::optional<std::string> saved;
+};
+
+/** parseBenchArgs() over the single argument @p arg. */
+void
+parseOne(const char *arg)
+{
+    char prog[] = "bench";
+    std::string text = arg;
+    char *argv[] = {prog, text.data(), nullptr};
+    parseBenchArgs(2, argv);
+}
+
+TEST(BenchInputsDeathTest, MalformedFlagValuesAreFatal)
+{
+    // Each of these used to parse as 0 and silently switch its
+    // feature off (or seed the faults with 0).
+    EXPECT_DEATH(parseOne("--watchdog-ticks=abc"), "--watchdog-ticks: 'abc'");
+    EXPECT_DEATH(parseOne("--retries=x"), "--retries: 'x'");
+    EXPECT_DEATH(parseOne("--deadline=x"), "--deadline: 'x'");
+    EXPECT_DEATH(parseOne("--faults=x"), "--faults: 'x'");
+    // Trailing text, a sign on an unsigned count, non-finite seconds.
+    EXPECT_DEATH(parseOne("--retries=2x"), "--retries: '2x'");
+    EXPECT_DEATH(parseOne("--watchdog-ticks=-5"), "--watchdog-ticks");
+    EXPECT_DEATH(parseOne("--deadline=inf"), "--deadline: 'inf'");
+}
+
+TEST(BenchInputsDeathTest, MalformedEnvironmentIsFatal)
+{
+    EXPECT_DEATH(
+        {
+            setenv("CMPMEM_SCALE", "1O", 1);
+            benchScale();
+        },
+        "CMPMEM_SCALE: '1O'");
+    EXPECT_DEATH(
+        {
+            setenv("CMPMEM_BENCH_SCALE", "twenty", 1);
+            benchScaleDivisor();
+        },
+        "CMPMEM_BENCH_SCALE: 'twenty'");
+    EXPECT_DEATH(
+        {
+            setenv("CMPMEM_JOBS", "4 ", 1);
+            sweepWorkerCount(0);
+        },
+        "CMPMEM_JOBS: '4 '");
+}
+
+TEST(BenchInputs, UnsetOrEmptyEnvironmentKeepsDefaults)
+{
+    const int hw = std::max(1, int(std::thread::hardware_concurrency()));
+    for (const char *value : {static_cast<const char *>(nullptr), ""}) {
+        ScopedEnv scale("CMPMEM_SCALE", value);
+        ScopedEnv div("CMPMEM_BENCH_SCALE", value);
+        ScopedEnv jobs("CMPMEM_JOBS", value);
+        EXPECT_EQ(benchScale(), 1);
+        EXPECT_EQ(benchScaleDivisor(), 1u);
+        EXPECT_EQ(sweepWorkerCount(0), hw);
+    }
+    ScopedEnv scale("CMPMEM_SCALE", "0");
+    ScopedEnv div("CMPMEM_BENCH_SCALE", "20");
+    ScopedEnv jobs("CMPMEM_JOBS", "3");
+    EXPECT_EQ(benchScale(), 0);
+    EXPECT_EQ(benchScaleDivisor(), 20u);
+    EXPECT_EQ(sweepWorkerCount(0), 3);
 }
 
 } // namespace

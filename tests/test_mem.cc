@@ -116,15 +116,14 @@ TEST(FunctionalMemory, ValuesSurviveAllocGrowthOverSparsePages)
 {
     FunctionalMemory mem;
     // Write well past the current bump region so the bytes land in
-    // sparse pages, warming the translation cache on the way.
+    // sparse pages.
     Addr first = mem.alloc(8, 64);
     Addr ahead = first + 512 * FunctionalMemory::pageBytes + 12;
     mem.write<std::uint64_t>(ahead, 0xfeedfacecafebeefull);
     EXPECT_EQ(mem.read<std::uint64_t>(ahead), 0xfeedfacecafebeefull);
 
     // Growing the allocator across those pages migrates them into
-    // the contiguous region; values and stale translations must not
-    // change what's observed.
+    // the contiguous region; values must not change.
     Addr big = mem.alloc(1024 * FunctionalMemory::pageBytes, 64);
     EXPECT_LE(big, ahead);
     EXPECT_EQ(mem.read<std::uint64_t>(ahead), 0xfeedfacecafebeefull);
@@ -137,8 +136,8 @@ TEST(FunctionalMemory, ValuesSurviveAllocGrowthOverSparsePages)
 TEST(FunctionalMemory, TranslationCacheAliasesResolveCorrectly)
 {
     FunctionalMemory mem;
-    // Pages whose page numbers collide in a small direct-mapped
-    // translation cache (16-page stride) must not alias.
+    // Sparse pages 16 pages apart (the stride at which a small
+    // direct-mapped page cache would collide) must not alias.
     std::vector<Addr> addrs;
     for (int i = 0; i < 8; ++i)
         addrs.push_back(Addr(i) * 16 * FunctionalMemory::pageBytes + 8);

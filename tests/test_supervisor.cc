@@ -3,9 +3,10 @@
  * Supervisor and write-ahead-journal tests (DESIGN.md §16): the
  * JobResult codec must round-trip raw stats bit-exactly, a crashing
  * or wedged job must be contained (and retried) without poisoning
- * its siblings, and a sweep killed mid-run must resume from the
- * journal to the exact artifact an uninterrupted run produces. The
- * sandboxed-vs-in-process bit-identity sweep is the
+ * its siblings, every sandbox must be forked from the calling thread
+ * while no other thread runs, and a sweep killed mid-run must resume
+ * from the journal to the exact artifact an uninterrupted run
+ * produces. The sandboxed-vs-in-process bit-identity sweep is the
  * SupervisorIntegration suite, labelled "long" in ctest.
  */
 
@@ -13,7 +14,9 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <iterator>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -31,12 +34,10 @@ namespace
 
 /** A custom-run job returning fixed, distinctive simulated stats. */
 SweepJob
-fixedJob(const std::string &id, Tick ticks,
-         std::vector<std::string> deps = {})
+fixedJob(const std::string &id, Tick ticks)
 {
     SweepJob j;
     j.id = id;
-    j.deps = std::move(deps);
     j.run = [ticks] {
         RunResult r;
         r.stats.execTicks = ticks;
@@ -65,6 +66,15 @@ std::string
 tempPath(const std::string &leaf)
 {
     return testing::TempDir() + "/" + leaf;
+}
+
+/** Entries of /proc/<pid>/task: the threads of process @p pid. */
+std::uint64_t
+threadCount(pid_t pid)
+{
+    const std::filesystem::directory_iterator tasks(
+        fmt("/proc/%d/task", int(pid)));
+    return std::uint64_t(std::distance(begin(tasks), end(tasks)));
 }
 
 // ---------------------------------------------------------------- //
@@ -245,7 +255,6 @@ TEST(SupervisorRetry, ReDispatchAfterSandboxDeathSucceeds)
     opts.echoLogs = false;
     opts.isolate = SweepIsolate::On;
     opts.maxRetries = 2;
-    opts.retryBackoffSeconds = 0;
 
     SweepResult res = runJobs("retry", {j}, opts);
     EXPECT_TRUE(res.at("flaky").ran);
@@ -282,6 +291,39 @@ TEST(SupervisorSandbox, LogLinesSurviveChildDeath)
               std::string::npos)
         << jr.log;
     EXPECT_FALSE(SweepJournal::eligible(jr));
+}
+
+TEST(SupervisorSandbox, ForksOnlyFromTheCallingThread)
+{
+    // Each sandbox counts the threads of the process that forked it.
+    // A child forked while a sibling thread holds a lock (allocator,
+    // stdio, log) inherits it locked and can hang on it, so the
+    // supervisor forks from the calling thread and starts no other.
+    const std::uint64_t before = threadCount(::getpid());
+    std::vector<SweepJob> jobs;
+    for (int i = 0; i < 8; ++i) {
+        SweepJob j;
+        j.id = fmt("count%d", i);
+        j.run = [] {
+            RunResult r;
+            r.stats.execTicks = threadCount(::getppid());
+            r.verified = true;
+            return r;
+        };
+        jobs.push_back(std::move(j));
+    }
+
+    SweepOptions opts;
+    opts.jobs = 4;
+    opts.echoLogs = false;
+    opts.isolate = SweepIsolate::On;
+
+    SweepResult res = runJobs("fork_thread", std::move(jobs), opts);
+    ASSERT_EQ(res.jobs().size(), 8u);
+    for (const JobResult &jr : res.jobs()) {
+        ASSERT_TRUE(jr.ran) << jr.job.id << ": " << jr.error;
+        EXPECT_EQ(jr.run.stats.execTicks, before) << jr.job.id;
+    }
 }
 
 // ---------------------------------------------------------------- //
@@ -507,7 +549,7 @@ TEST(SupervisorResume, KillMidSweepThenResumeMatchesUninterrupted)
     auto makeJobs = [&arm_kill] {
         std::vector<SweepJob> jobs;
         jobs.push_back(fixedJob("a", 111));
-        SweepJob k = fixedJob("killer", 222, {"a"});
+        SweepJob k = fixedJob("killer", 222);
         bool *flag = &arm_kill;
         auto inner = k.run;
         k.run = [flag, inner] {
@@ -516,7 +558,7 @@ TEST(SupervisorResume, KillMidSweepThenResumeMatchesUninterrupted)
             return inner();
         };
         jobs.push_back(k);
-        jobs.push_back(fixedJob("c", 333, {"killer"}));
+        jobs.push_back(fixedJob("c", 333));
         return jobs;
     };
 
@@ -586,7 +628,6 @@ TEST(SupervisorIntegration, CrashIsContainedAndSiblingsComplete)
     opts.echoLogs = false;
     opts.isolate = SweepIsolate::On;
     opts.maxRetries = 1; // a real crash is deterministic: 2 attempts
-    opts.retryBackoffSeconds = 0;
 
     SweepResult res = runJobs("contain", std::move(jobs), opts);
 

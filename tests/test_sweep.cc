@@ -1,16 +1,16 @@
 /**
  * @file
  * Sweep-engine tests: spec expansion (cross-product, axes, tags,
- * baselines), the job-graph executor (dependency ordering under the
- * pool, failure isolation, log capture), JSON artifact validity, and
- * the determinism contract — parallel and serial execution of the
- * same spec produce bit-identical simulated tick counts per point
- * (the SweepIntegration suite, labelled "long" in ctest).
+ * explicit points), the job-list executor (id validation, results in
+ * list order, failure isolation, log capture), JSON artifact
+ * validity, and the determinism contract — parallel and serial
+ * execution of the same spec produce bit-identical simulated tick
+ * counts per point (the SweepIntegration suite, labelled "long" in
+ * ctest).
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cctype>
 #include <cstdlib>
 #include <stdexcept>
@@ -179,17 +179,13 @@ class JsonChecker
     }
 };
 
-/** A custom-run job that records its scheduling order. */
+/** A custom-run job that throws or returns a fixed result. */
 SweepJob
-orderedJob(const std::string &id, std::atomic<int> &seq,
-           std::vector<std::string> deps, int *out,
-           bool fail = false, bool verified = true)
+customJob(const std::string &id, bool fail = false, bool verified = true)
 {
     SweepJob j;
     j.id = id;
-    j.deps = std::move(deps);
-    j.run = [&seq, out, fail, verified] {
-        *out = seq.fetch_add(1);
+    j.run = [fail, verified] {
         if (fail)
             throw std::runtime_error("injected failure");
         RunResult r;
@@ -225,24 +221,6 @@ TEST(SweepSpec, CrossProductExpansion)
     EXPECT_EQ(jobs[3].tags.at("workload"), "fir");
     EXPECT_EQ(jobs[3].tags.at("cores"), "4");
     EXPECT_EQ(jobs[3].tags.at("model"), "STR");
-    EXPECT_TRUE(jobs[3].deps.empty());
-}
-
-TEST(SweepSpec, BaselineMakesCrossJobsDependOnIt)
-{
-    SweepSpec spec("t");
-    spec.workloads({"fir"}).modelAxis();
-    spec.baseline({"fir/base", "fir", makeConfig(1, MemModel::CC),
-                   {}, {}, {}, {}});
-
-    auto jobs = spec.expand();
-    ASSERT_EQ(jobs.size(), 3u);
-    EXPECT_EQ(jobs[0].id, "fir/base");
-    EXPECT_TRUE(jobs[0].deps.empty());
-    for (std::size_t i = 1; i < jobs.size(); ++i) {
-        ASSERT_EQ(jobs[i].deps.size(), 1u);
-        EXPECT_EQ(jobs[i].deps[0], "fir/base");
-    }
 }
 
 TEST(SweepSpec, ExplicitPointsRideAlong)
@@ -264,30 +242,7 @@ TEST(SweepSpec, ExplicitPointsRideAlong)
 void
 graphWithDuplicateIds()
 {
-    std::atomic<int> seq{0};
-    int o = 0;
-    std::vector<SweepJob> jobs = {orderedJob("a", seq, {}, &o),
-                                  orderedJob("a", seq, {}, &o)};
-    runJobs("t", std::move(jobs));
-}
-
-void
-graphWithUnknownDep()
-{
-    std::atomic<int> seq{0};
-    int o = 0;
-    std::vector<SweepJob> jobs = {orderedJob("a", seq, {"ghost"}, &o)};
-    runJobs("t", std::move(jobs));
-}
-
-void
-graphWithCycle()
-{
-    std::atomic<int> seq{0};
-    int a = 0, b = 0;
-    std::vector<SweepJob> jobs = {orderedJob("a", seq, {"b"}, &a),
-                                  orderedJob("b", seq, {"a"}, &b)};
-    runJobs("t", std::move(jobs));
+    runJobs("t", {customJob("a"), customJob("a")});
 }
 
 void
@@ -301,72 +256,29 @@ graphWithEmptyJob()
 TEST(SweepExecutorDeath, RejectsBadGraphs)
 {
     EXPECT_DEATH(graphWithDuplicateIds(), "duplicate");
-    EXPECT_DEATH(graphWithUnknownDep(), "unknown");
-    EXPECT_DEATH(graphWithCycle(), "cycle");
     EXPECT_DEATH(graphWithEmptyJob(), "neither");
-}
-
-TEST(SweepExecutor, DependencyOrderingHoldsUnderPool)
-{
-    // One baseline, a fan of dependents, and a chain — run on
-    // several workers and check every constraint from the recorded
-    // global completion order.
-    std::atomic<int> seq{0};
-    int base = -1, chain1 = -1, chain2 = -1;
-    int fan[6] = {-1, -1, -1, -1, -1, -1};
-
-    std::vector<SweepJob> jobs;
-    jobs.push_back(orderedJob("chain1", seq, {"base"}, &chain1));
-    jobs.push_back(orderedJob("chain2", seq, {"chain1"}, &chain2));
-    for (int i = 0; i < 6; ++i) {
-        jobs.push_back(orderedJob(fmt("fan%d", i), seq, {"base"},
-                                  &fan[i]));
-    }
-    jobs.push_back(orderedJob("base", seq, {}, &base));
-
-    SweepOptions opts;
-    opts.jobs = 4;
-    opts.echoLogs = false;
-    // The recorded order lives in this process's memory; a forked
-    // sandbox (CMPMEM_ISOLATE=1 in the environment) would strand the
-    // side effects in the child. Ordering semantics are isolation-
-    // independent, so pin the in-process path.
-    opts.isolate = SweepIsolate::Off;
-    SweepResult res = runJobs("order", std::move(jobs), opts);
-
-    EXPECT_TRUE(res.allRan());
-    EXPECT_EQ(base, 0) << "baseline must run before every dependent";
-    for (int i = 0; i < 6; ++i)
-        EXPECT_GT(fan[i], base);
-    EXPECT_GT(chain1, base);
-    EXPECT_GT(chain2, chain1);
-
-    // Results come back in job-graph order, not completion order.
-    EXPECT_EQ(res.jobs()[0].job.id, "chain1");
-    EXPECT_EQ(res.jobs().back().job.id, "base");
 }
 
 TEST(SweepExecutor, FailingJobDoesNotPoisonSiblings)
 {
-    std::atomic<int> seq{0};
-    int a = -1, b = -1, c = -1, d = -1;
     std::vector<SweepJob> jobs = {
-        orderedJob("ok1", seq, {}, &a),
-        orderedJob("throws", seq, {}, &b, /*fail=*/true),
-        orderedJob("unverified", seq, {}, &c, false,
-                   /*verified=*/false),
-        // A dependent of the failing job still executes (deps are
-        // ordering constraints, not success gates).
-        orderedJob("after-throws", seq, {"throws"}, &d),
+        customJob("ok1"),
+        customJob("throws", /*fail=*/true),
+        customJob("unverified", false, /*verified=*/false),
+        customJob("after-throws"),
     };
 
     SweepOptions opts;
     opts.jobs = 2;
     opts.echoLogs = false;
-    // In-process side effects again (see above): keep the sandbox
-    // off so the sequence counters are observable.
-    opts.isolate = SweepIsolate::Off;
     SweepResult res = runJobs("fail", std::move(jobs), opts);
+
+    // Results come back in job-list order, not completion order.
+    ASSERT_EQ(res.jobs().size(), 4u);
+    EXPECT_EQ(res.jobs()[0].job.id, "ok1");
+    EXPECT_EQ(res.jobs()[1].job.id, "throws");
+    EXPECT_EQ(res.jobs()[2].job.id, "unverified");
+    EXPECT_EQ(res.jobs()[3].job.id, "after-throws");
 
     EXPECT_TRUE(res.at("ok1").ran);
     EXPECT_TRUE(res.at("ok1").run.verified);
@@ -376,7 +288,6 @@ TEST(SweepExecutor, FailingJobDoesNotPoisonSiblings)
     EXPECT_TRUE(res.at("unverified").ran);
     EXPECT_FALSE(res.at("unverified").run.verified);
     EXPECT_TRUE(res.at("after-throws").ran);
-    EXPECT_GT(d, b);
 
     EXPECT_FALSE(res.allRan());
     EXPECT_FALSE(res.allVerified());
