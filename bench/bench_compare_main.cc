@@ -1,98 +1,35 @@
 /**
  * @file
- * CLI for the perf-regression gate (DESIGN.md §14):
+ * CLI for the baseline identity gate (DESIGN.md §14):
  *
- *   bench_compare [options] BASELINE.json FRESH.json [FRESH2.json ...]
+ *   bench_compare BASELINE.json FRESH.json
  *
- * Diffs one or more fresh BENCH artifacts (repeats of the same
- * sweep) against the committed baseline. Simulated stats must be
- * bit-identical on every repeat; host throughput is compared
- * median-vs-baseline with a tolerance.
+ * Diffs a fresh BENCH artifact against the committed baseline:
+ * simulated stats, digests, energy and config must be bit-identical.
  *
- * Options:
- *   --host-mode=strict|warn|off   strict (default): a >tolerance
- *                                 throughput drop fails the gate;
- *                                 warn: printed only; off: skipped
- *   --tolerance=FRAC              relative drop that flags a host
- *                                 regression (default 0.10)
- *   --annotate                    write the comparison summary back
- *                                 into the first fresh artifact as a
- *                                 top-level "compare" member
- *
- * Exit codes: 0 clean, 1 simulated-stats identity mismatch,
- * 2 usage or artifact parse error, 3 host throughput regression
- * (strict mode only).
+ * Exit codes: 0 clean, 1 simulated-result identity mismatch,
+ * 2 usage, artifact parse or sizing error.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
-#include <vector>
 
 #include "harness/bench_compare.hh"
 #include "sim/sim_error.hh"
 
 using namespace cmpmem;
 
-namespace
-{
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--host-mode=strict|warn|off] "
-                 "[--tolerance=FRAC] [--annotate] BASELINE FRESH "
-                 "[FRESH...]\n",
-                 argv0);
-    std::exit(2);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    CompareOptions opts;
-    bool annotate = false;
-    std::vector<std::string> paths;
-
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--host-mode=", 12) == 0) {
-            try {
-                opts.hostMode = parseHostMode(arg + 12);
-            } catch (const SimError &e) {
-                std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-                return 2;
-            }
-        } else if (std::strncmp(arg, "--tolerance=", 12) == 0) {
-            char *end = nullptr;
-            opts.hostTolerance = std::strtod(arg + 12, &end);
-            if (!end || *end || opts.hostTolerance < 0)
-                usage(argv[0]);
-        } else if (std::strcmp(arg, "--annotate") == 0) {
-            annotate = true;
-        } else if (arg[0] == '-') {
-            usage(argv[0]);
-        } else {
-            paths.emplace_back(arg);
-        }
+    if (argc != 3 || argv[1][0] == '-' || argv[2][0] == '-') {
+        std::fprintf(stderr, "usage: %s BASELINE FRESH\n", argv[0]);
+        return 2;
     }
-    if (paths.size() < 2)
-        usage(argv[0]);
-
     try {
-        JsonValue baseline = JsonValue::parseFile(paths[0]);
-        std::vector<JsonValue> fresh;
-        for (std::size_t i = 1; i < paths.size(); ++i)
-            fresh.push_back(JsonValue::parseFile(paths[i]));
-
-        CompareReport report = compareArtifacts(baseline, fresh, opts);
+        CompareReport report =
+            compareArtifacts(JsonValue::parseFile(argv[1]),
+                             JsonValue::parseFile(argv[2]));
         std::printf("%s", report.format().c_str());
-        if (annotate)
-            annotateArtifact(paths[1], report);
         return report.exitCode();
     } catch (const SimError &e) {
         std::fprintf(stderr, "%s: %s\n", argv[0], e.what());

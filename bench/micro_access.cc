@@ -17,8 +17,7 @@
  *                 store path plus store-buffer/upgrade traffic at
  *                 burst boundaries.
  *
- * CMPMEM_SCALE scales the access counts (0 = smoke);
- * CMPMEM_BENCH_SCALE divides them (sanitized-tree TIMEOUT relief).
+ * CMPMEM_SCALE scales the access counts (0 = smoke).
  */
 
 #include <cstdio>

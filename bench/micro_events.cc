@@ -20,8 +20,7 @@
  *   stress - the full-system randomized "stress" workload (CC,
  *            4 cores), where model code dominates each event.
  *
- * CMPMEM_SCALE scales the event counts (0 = smoke);
- * CMPMEM_BENCH_SCALE divides them (sanitized-tree TIMEOUT relief).
+ * CMPMEM_SCALE scales the event counts (0 = smoke).
  */
 
 #include <cstdio>
@@ -171,7 +170,7 @@ runFar()
  * recommendBucketShift(), and the measured run uses the result. The
  * simulated stream is bit-identical to runFar() — same events, same
  * final tick — with the overflow heap nearly idle (the artifact
- * records both, which is the before/after the perf gate watches).
+ * records both, and the baseline gate holds them bit-identical).
  */
 RunResult
 runFarTuned()

@@ -26,8 +26,7 @@
  *                   DMA command/completion path (ticket ring, chunk
  *                   staging, bounce buffers).
  *
- * CMPMEM_SCALE scales the iteration counts (0 = smoke);
- * CMPMEM_BENCH_SCALE divides them (sanitized-tree TIMEOUT relief).
+ * CMPMEM_SCALE scales the iteration counts (0 = smoke).
  */
 
 #include <cstdio>

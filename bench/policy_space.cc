@@ -11,14 +11,9 @@
  * Every point is a declarative SweepSpec job, so the policy labels
  * land in the artifact's tags and the policy identity lands in each
  * job's config block — bench_compare refuses cross-policy diffs.
- *
- * CMPMEM_POLICY_WORKLOAD restricts the workload axis to one name
- * (the sanitizer smoke in scripts/check.sh --full uses this to keep
- * the ASan-scaled run quick).
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "cmpmem.hh"
 
@@ -28,12 +23,6 @@ int
 main(int argc, char **argv)
 {
     parseBenchArgs(argc, argv);
-
-    std::vector<std::string> wl = {"fir", "mpeg2"};
-    if (const char *only = std::getenv("CMPMEM_POLICY_WORKLOAD")) {
-        if (*only)
-            wl = {only};
-    }
 
     std::printf("Policy design space: {LRU, MIP, LIP, BIP} x "
                 "{stream, markov, stream buffers} x {CC, STR}, "
@@ -45,7 +34,7 @@ main(int argc, char **argv)
     SweepSpec spec("policy_space");
     spec.base(makeConfig(4, MemModel::CC))
         .baseParams(benchParams())
-        .workloads(wl)
+        .workloads({"fir", "mpeg2"})
         .modelAxis()
         .policyAxis();
     SweepResult res = runBenchSweep(spec);

@@ -1,18 +1,13 @@
-# Perf-regression gate step (cmake -P): run one microbench at smoke
+# Baseline identity gate step (cmake -P): run one bench at smoke
 # scale into ARTIFACT_DIR, then diff the fresh artifact against the
 # committed baseline with bench_compare (DESIGN.md §14).
 #
 # Required -D variables:
-#   BENCH_EXE    - the microbench binary to run
+#   BENCH_EXE    - the bench binary to run
 #   COMPARE_EXE  - the bench_compare binary
 #   BASELINE     - committed baselines/BENCH_<name>.json
 #   ARTIFACT     - where the fresh BENCH_<name>.json lands
 #   ARTIFACT_DIR - directory the bench writes artifacts into
-#
-# Host mode comes from the CMPMEM_GATE_HOST_MODE environment variable
-# (default "warn": ctest runs tests concurrently, so host throughput
-# is noisy here — scripts/check.sh --full runs the strict gate with
-# repeats on a quiet machine).
 
 foreach(var BENCH_EXE COMPARE_EXE BASELINE ARTIFACT ARTIFACT_DIR)
     if(NOT DEFINED ${var})
@@ -20,16 +15,9 @@ foreach(var BENCH_EXE COMPARE_EXE BASELINE ARTIFACT ARTIFACT_DIR)
     endif()
 endforeach()
 
-if(DEFINED ENV{CMPMEM_GATE_HOST_MODE})
-    set(host_mode "$ENV{CMPMEM_GATE_HOST_MODE}")
-else()
-    set(host_mode "warn")
-endif()
-
-# Baselines are produced at smoke scale with no iteration divisor;
-# pin both so the comparison is like-for-like.
+# Baselines are produced at smoke scale; pin it so the comparison is
+# like-for-like.
 set(ENV{CMPMEM_SCALE} 0)
-set(ENV{CMPMEM_BENCH_SCALE} 1)
 set(ENV{CMPMEM_ARTIFACT_DIR} "${ARTIFACT_DIR}")
 
 execute_process(COMMAND "${BENCH_EXE}" RESULT_VARIABLE bench_rc)
@@ -38,8 +26,7 @@ if(NOT bench_rc EQUAL 0)
 endif()
 
 execute_process(
-    COMMAND "${COMPARE_EXE}" "--host-mode=${host_mode}" --annotate
-            "${BASELINE}" "${ARTIFACT}"
+    COMMAND "${COMPARE_EXE}" "${BASELINE}" "${ARTIFACT}"
     RESULT_VARIABLE compare_rc)
 if(NOT compare_rc EQUAL 0)
     message(FATAL_ERROR

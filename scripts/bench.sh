@@ -79,21 +79,16 @@ echo "==> artifacts:"
 ls -l "${root}"/BENCH_*.json
 
 # Compare against the committed baselines where one exists and the
-# sizing matches (baselines are pinned at CMPMEM_SCALE=0 with no
-# iteration divisor — the gate refuses cross-sizing diffs, so skip
-# rather than fail a full-scale run). Host throughput is warn-only
-# here: bench.sh runs at whatever scale the caller picked on
-# whatever machine this is; the strict gate is scripts/check.sh
-# --full.
-if [[ "${CMPMEM_SCALE:-1}" == "0" && "${CMPMEM_BENCH_SCALE:-1}" == "1" ]]
-then
+# sizing matches (baselines are pinned at CMPMEM_SCALE=0 — the gate
+# refuses cross-sizing diffs, so skip rather than fail a full-scale
+# run).
+if [[ "${CMPMEM_SCALE:-1}" == "0" ]]; then
     echo
-    echo "==> comparing against baselines/ (warn host mode)"
+    echo "==> comparing against baselines/"
     for b in "${benches[@]}"; do
         baseline="baselines/BENCH_${b}.json"
         [[ -f "${baseline}" ]] || continue
-        build/bench/bench_compare --host-mode=warn --annotate \
-            "${baseline}" "${root}/BENCH_${b}.json"
+        build/bench/bench_compare "${baseline}" "${root}/BENCH_${b}.json"
     done
 else
     echo "==> skipping baseline comparison (sizing differs from the"

@@ -3,36 +3,33 @@
 # Verification driver.
 #
 # Default (quick) mode: build the Release configuration and run every
-# test except those labelled "long" or "perf" — a sub-minute signal
-# suitable for the inner edit loop.
+# test except those labelled "long" — a sub-minute signal suitable for
+# the inner edit loop. It includes the gate_* entries, which rerun
+# each baselined bench and require its artifact to be bit-identical
+# to baselines/ (bench_compare; DESIGN.md §14).
 #
 # --full: the pre-ship sweep. Runs the complete suite (including the
-# long label) in the plain Release configuration, follows with the
-# host-performance pass (label "perf": the micro_events event-engine
-# bench, run serially and only in the unsanitized tree), then the
-# strict perf-regression gate (3 repeats of each baselined bench,
-# compared bit-for-bit and median-throughput against baselines/ via
-# bench_compare; DESIGN.md §14), then re-runs the sweep and
-# supervisor suites with CMPMEM_ISOLATE=1 (every job in a forked
-# sandbox, plus the kill-then-resume gate and micro_miss; DESIGN.md
-# §16), then runs the host-cost benchmark once for 1 s per workload
-# (benchmark/run.sh exits non-zero on any job whose stats digest
-# differs from benchmark/expected_digests.json) and its replica
-# fidelity test, then builds and runs everything again under
+# long label) in the plain Release configuration, then re-runs the
+# sweep and supervisor suites with CMPMEM_ISOLATE=1 (every job in a
+# forked sandbox, plus the kill-then-resume gate and micro_miss's
+# gate; DESIGN.md §16), then runs the host-cost benchmark once for
+# 1 s per workload (benchmark/run.sh exits non-zero on any job whose
+# stats digest differs from benchmark/expected_digests.json) and its
+# replica fidelity test, then builds and runs everything again under
 # AddressSanitizer + UBSan (CMPMEM_SANITIZE=ON) and re-runs the sweep
-# and supervisor suites there with CMPMEM_ISOLATE=1, runs the
-# sweep-executor suite (the inter-job worker pool, the only code that
-# runs host threads) under ThreadSanitizer (CMPMEM_SANITIZE=thread),
-# and finishes with a widened fault-injection stress pass
-# (CMPMEM_FAULT_SCALE=2) in the sanitizer tree — the recovery paths
-# (ECC re-reads, NACK/DMA retries, watchdog kills) are exactly where
-# latent lifetime bugs hide. All passes must be green before a
-# change ships.
+# and supervisor suites there with CMPMEM_ISOLATE=1, finishes the
+# sanitized leg with a widened fault-injection stress pass
+# (CMPMEM_FAULT_SCALE=2) — the recovery paths (ECC re-reads, NACK/DMA
+# retries, watchdog kills) are exactly where latent lifetime bugs
+# hide — and runs the sweep-executor suite (the inter-job worker
+# pool, the only code that runs host threads) under ThreadSanitizer
+# (CMPMEM_SANITIZE=thread). All passes must be green before a change
+# ships.
 #
 # --update-baselines: regenerate baselines/BENCH_*.json from the
-# current tree (Release, CMPMEM_SCALE=0, no iteration divisor) and
-# stop. Run this deliberately when a reviewed change moves simulated
-# stats, and commit the result.
+# current tree (Release, CMPMEM_SCALE=0) and stop. Run this
+# deliberately when a reviewed change moves simulated stats, and
+# commit the result.
 #
 # Usage: scripts/check.sh [--full | --update-baselines] [jobs]
 
@@ -73,26 +70,16 @@ run_config() {
         ${label_args}
 }
 
-# Run one baselined bench at the pinned deterministic sizing
-# (CMPMEM_SCALE=0, divisor 1), writing its artifact into $2.
-run_bench_pinned() {
-    local bench="$1"
-    local dir="$2"
-    mkdir -p "${dir}"
-    CMPMEM_SCALE=0 CMPMEM_BENCH_SCALE=1 CMPMEM_ARTIFACT_DIR="${dir}" \
-        "build/bench/${bench}" >/dev/null
-    # The write-ahead journal (DESIGN.md §16) is run-local scratch,
-    # not an artifact: never let it ride into baselines/ or a gate
-    # directory diff.
-    rm -f "${dir}/BENCH_${bench}.journal.jsonl"
-}
-
 if [[ "${update}" -eq 1 ]]; then
     echo "==> regenerating baselines/ (Release, CMPMEM_SCALE=0)"
     cmake -S . -B build -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
     cmake --build build -j "${jobs}"
     for bench in ${gate_benches}; do
-        run_bench_pinned "${bench}" baselines
+        CMPMEM_SCALE=0 CMPMEM_ARTIFACT_DIR=baselines \
+            "build/bench/${bench}" >/dev/null
+        # The write-ahead journal (DESIGN.md §16) is run-local
+        # scratch, not an artifact: never let it ride into baselines/.
+        rm -f "baselines/BENCH_${bench}.journal.jsonl"
         echo "    baselines/BENCH_${bench}.json"
     done
     if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
@@ -106,30 +93,13 @@ if [[ "${update}" -eq 1 ]]; then
 fi
 
 if [[ "${full}" -eq 1 ]]; then
-    run_config build "-LE perf" -DCMAKE_BUILD_TYPE=Release
-    echo "==> host-performance pass (Release, label perf)"
-    # Serial, in the plain Release tree only: events/sec from a
-    # sanitized or contended run would be meaningless. The gate_*
-    # entries run in warn host mode here; the strict pass follows.
-    ctest --test-dir build --output-on-failure -L perf
-    echo "==> perf-regression gate (strict, 3 repeats per bench)"
-    for bench in ${gate_benches}; do
-        gate_dir="build/gate/${bench}"
-        rm -rf "${gate_dir}"
-        fresh=()
-        for r in 1 2 3; do
-            run_bench_pinned "${bench}" "${gate_dir}/r${r}"
-            fresh+=("${gate_dir}/r${r}/BENCH_${bench}.json")
-        done
-        build/bench/bench_compare --host-mode=strict --annotate \
-            "baselines/BENCH_${bench}.json" "${fresh[@]}"
-    done
+    run_config build "" -DCMAKE_BUILD_TYPE=Release
     echo "==> isolation pass (Release, CMPMEM_ISOLATE=1)"
     # Re-run the sweep-engine and supervisor suites with every job in
     # a forked sandbox: the §16 contract says sandboxed execution is
     # bit-identical and the whole determinism story must hold through
     # the process boundary. This includes gate_resume_table3, the
-    # kill-then-resume bench gate, and micro_miss, whose
+    # kill-then-resume bench gate, and gate_micro_miss, whose
     # zero-allocation check reads miss_path_allocs back through the
     # sandbox codec.
     CMPMEM_ISOLATE=1 ctest --test-dir build --output-on-failure \
@@ -141,7 +111,7 @@ if [[ "${full}" -eq 1 ]]; then
     bash benchmark/run.sh --seconds 1
     cmake --build build-bench --target replica_fidelity_test -j "${jobs}"
     ctest --test-dir build-bench --output-on-failure -L benchmark
-    run_config build-sanitize "-LE perf" -DCMAKE_BUILD_TYPE=Release \
+    run_config build-sanitize "" -DCMAKE_BUILD_TYPE=Release \
         -DCMPMEM_SANITIZE=ON
     echo "==> isolation pass (sanitized, CMPMEM_ISOLATE=1)"
     # Sandboxed sweeps under ASan/UBSan: a child forked while another
@@ -149,12 +119,6 @@ if [[ "${full}" -eq 1 ]]; then
     # the supervisor forks only from the calling thread (DESIGN.md §16).
     CMPMEM_ISOLATE=1 ctest --test-dir build-sanitize --output-on-failure \
         -j "${jobs}" -R 'test_sweep|test_supervisor'
-    echo "==> policy smoke sweep (sanitized, one workload, all points)"
-    # Every policy point exercises its own allocate/prefetch code
-    # under ASan+UBSan; one workload keeps the sanitized run quick.
-    CMPMEM_SCALE=0 CMPMEM_POLICY_WORKLOAD=fir \
-        CMPMEM_ARTIFACT_DIR=build-sanitize \
-        build-sanitize/bench/policy_space >/dev/null
     echo "==> fault-injection stress pass (sanitized, scale 2)"
     CMPMEM_FAULT_SCALE=2 ctest --test-dir build-sanitize \
         --output-on-failure -j "${jobs}" -R test_faults_stress
@@ -169,6 +133,6 @@ if [[ "${full}" -eq 1 ]]; then
         -R 'test_sweep'
     echo "==> all configurations green"
 else
-    run_config build "-LE long|perf" -DCMAKE_BUILD_TYPE=Release
+    run_config build "-LE long" -DCMAKE_BUILD_TYPE=Release
     echo "==> quick suite green (use --full before shipping)"
 fi

@@ -1,6 +1,5 @@
 #include "harness/experiment.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -149,18 +148,10 @@ benchScale()
 }
 
 std::uint64_t
-benchScaleDivisor()
-{
-    return std::uint64_t(std::max(envInt("CMPMEM_BENCH_SCALE", 1), 1));
-}
-
-std::uint64_t
 benchIters(std::uint64_t base)
 {
     const int scale = benchScale();
-    const std::uint64_t factor = scale <= 0 ? 1 : 20 * std::uint64_t(scale);
-    const std::uint64_t iters = base * factor / benchScaleDivisor();
-    return iters ? iters : 1;
+    return scale <= 0 ? base : base * 20 * std::uint64_t(scale);
 }
 
 SweepResult
@@ -197,8 +188,9 @@ finishBench(const SweepResult &res)
 {
     std::printf("\n%s\n", res.summary().c_str());
     std::string path = res.writeArtifact();
-    if (!path.empty())
-        std::printf("artifact: %s\n", path.c_str());
+    if (path.empty())
+        return 1;
+    std::printf("artifact: %s\n", path.c_str());
     return res.allRan() ? 0 : 1;
 }
 

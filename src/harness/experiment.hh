@@ -55,7 +55,7 @@ void parseBenchArgs(int argc, char **argv);
 /**
  * The integer in environment variable @p name, or @p dflt when it is
  * unset or empty. Any other text ("1O", "4 ") is fatal(), naming the
- * variable. Reads CMPMEM_SCALE, CMPMEM_BENCH_SCALE and CMPMEM_JOBS.
+ * variable. Reads CMPMEM_SCALE and CMPMEM_JOBS.
  */
 int envInt(const char *name, int dflt);
 
@@ -92,20 +92,9 @@ WorkloadParams benchParams();
 int benchScale();
 
 /**
- * Iteration divisor for the substrate microbenchmarks, from the
- * CMPMEM_BENCH_SCALE environment variable (default 1, clamped to at
- * least 1). Sanitized trees set it so the ctest "perf" entries fit
- * their TIMEOUT budget under ASan's ~10-20x slowdown; because it
- * changes iteration counts (and therefore simulated stats), the
- * value is recorded in every BENCH artifact and bench_compare
- * refuses to diff artifacts produced under different divisors.
- */
-std::uint64_t benchScaleDivisor();
-
-/**
  * @p base iterations scaled for the current environment:
- * base * max(1, 20 * CMPMEM_SCALE) / CMPMEM_BENCH_SCALE, clamped to
- * at least 1. The common sizing helper of micro_events/micro_access.
+ * base * max(1, 20 * CMPMEM_SCALE). The common sizing helper of the
+ * micro benches.
  */
 std::uint64_t benchIters(std::uint64_t base);
 
@@ -113,7 +102,8 @@ std::uint64_t benchIters(std::uint64_t base);
  * Bench epilogue: print the sweep's aggregate host-time and
  * speedup line (serial-sum vs wall-clock), write the
  * BENCH_<name>.json artifact, and return the process exit code
- * (0 unless a job failed to execute).
+ * (0 unless a job failed to execute or the artifact was not
+ * written).
  */
 int finishBench(const SweepResult &res);
 

@@ -4,10 +4,10 @@
  *
  * The sweep engine writes its BENCH_<name>.json artifacts, journal
  * records and sandbox result frames through this module, and the
- * perf-regression gate (harness/bench_compare.hh) reads them back,
- * diffs them, and annotates them: a strict recursive-descent parser
- * into an ordered document tree, plus a serializer that round-trips
- * doubles exactly ("%.17g").
+ * baseline identity gate (harness/bench_compare.hh) reads them back
+ * and diffs them: a strict recursive-descent parser into an ordered
+ * document tree, plus a serializer that round-trips doubles exactly
+ * ("%.17g").
  *
  * Scope is deliberately small: UTF-8 text, no comments, no trailing
  * commas, objects keep insertion order (duplicate keys are a parse

@@ -477,7 +477,7 @@ namespace
 {
 
 /** Bumped whenever a record's shape changes. */
-constexpr int kJournalSchema = 3;
+constexpr int kJournalSchema = 4;
 
 JsonValue
 journalHeader(const std::string &sweep_name)
@@ -488,8 +488,6 @@ journalHeader(const std::string &sweep_name)
     // The same sizing identity the artifact records: a journal
     // written at one scale must not seed a resume at another.
     hdr.set("scale", JsonValue::makeNumber(benchScale()));
-    hdr.set("bench_scale_div",
-            JsonValue::makeNumber(double(benchScaleDivisor())));
     return hdr;
 }
 
@@ -628,17 +626,13 @@ SweepJournal::load(const std::string &path,
                       path.c_str(), int(hdr.at("schema").asNumber()),
                       kJournalSchema);
     }
-    if (int(hdr.at("scale").asNumber()) != benchScale() ||
-        std::uint64_t(hdr.at("bench_scale_div").asNumber()) !=
-            benchScaleDivisor()) {
-        throwSimError(
-            SimErrorKind::Config,
-            "refusing --resume: journal %s was written at scale=%d/"
-            "div=%d but this run is scale=%d/div=%llu — results "
-            "would not be comparable",
-            path.c_str(), int(hdr.at("scale").asNumber()),
-            int(hdr.at("bench_scale_div").asNumber()), benchScale(),
-            (unsigned long long)benchScaleDivisor());
+    if (int(hdr.at("scale").asNumber()) != benchScale()) {
+        throwSimError(SimErrorKind::Config,
+                      "refusing --resume: journal %s was written at "
+                      "scale=%d but this run is scale=%d — results "
+                      "would not be comparable",
+                      path.c_str(), int(hdr.at("scale").asNumber()),
+                      benchScale());
     }
 
     std::map<std::string, const SweepJob *> byId;

@@ -112,8 +112,8 @@ void jobResultFromJson(const JsonValue &doc, JobResult &jr);
  * Append-only write-ahead journal of completed jobs.
  *
  * File layout (JSONL): a header line carrying the sweep identity
- * {journal, schema, scale, bench_scale_div}, then one record per
- * completed job {id, config, stats_digest, result}. Each record is
+ * {journal, schema, scale}, then one record per completed job
+ * {id, config, stats_digest, result}. Each record is
  * written under a lock and fsynced before record() returns, so a
  * record either exists completely or is a torn trailing line the
  * loader discards.
@@ -154,8 +154,8 @@ class SweepJournal
      * record; a torn/corrupt trailing line is discarded with a
      * warning (that job re-runs); a missing or empty journal returns
      * no entries. Refuses with SimErrorKind::Config when the header
-     * identity (sweep name, schema, scale, bench_scale_div) or a
-     * record's config identity does not match the spec — a changed
+     * identity (sweep name, schema, scale) or a record's config
+     * identity does not match the spec — a changed
      * sweep definition must not silently merge stale results.
      */
     static std::map<std::string, JobResult>

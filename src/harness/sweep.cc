@@ -326,13 +326,11 @@ SweepResult::toJson() const
     JsonValue doc = JsonValue::makeObject();
     doc.set("sweep", JsonValue::makeString(sweepName));
     doc.set("schema", JsonValue::makeNumber(2));
-    // The effective workload scale and micro-iteration divisor: the
-    // two environment knobs that legitimately change simulated
-    // stats, recorded so bench_compare can refuse to diff artifacts
-    // produced under different sizings (DESIGN.md §14).
+    // The effective workload scale, the environment knob that
+    // legitimately changes simulated stats, recorded so bench_compare
+    // can refuse to diff artifacts produced under different sizings
+    // (DESIGN.md §14).
     doc.set("scale", JsonValue::makeNumber(benchScale()));
-    doc.set("bench_scale_div",
-            JsonValue::makeNumber(double(benchScaleDivisor())));
     doc.set("workers", JsonValue::makeNumber(nWorkers));
     doc.set("wall_seconds", JsonValue::makeNumber(wallSecs));
     doc.set("serial_seconds", JsonValue::makeNumber(serialSeconds()));
@@ -399,11 +397,12 @@ SweepResult::writeArtifact() const
 {
     std::string path = artifactPath(sweepName);
     std::ofstream ofs(path, std::ios::trunc);
+    ofs << toJson();
+    ofs.close(); // flushes: a full disk fails here, not at open
     if (!ofs) {
         warn("cannot write sweep artifact %s", path.c_str());
         return std::string();
     }
-    ofs << toJson();
     return path;
 }
 

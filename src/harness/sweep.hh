@@ -331,7 +331,8 @@ class SweepResult
 
     /**
      * Write toJson() to "<dir>/BENCH_<name>.json" where dir is
-     * CMPMEM_ARTIFACT_DIR or ".". @return the path written.
+     * CMPMEM_ARTIFACT_DIR or ".". @return the path written, or ""
+     * (with a warning) when the file could not be opened or written.
      */
     std::string writeArtifact() const;
 

@@ -28,15 +28,9 @@ CmpSystem::CmpSystem(const SystemConfig &config) : cfg(config)
     }
 
     if (cfg.faults.enabled) {
-#if CMPMEM_FAULTS_ENABLED
         faultInj = std::make_unique<FaultInjector>(cfg.faults);
         dramChannel->setFaultInjector(faultInj.get());
         fab->setFaultInjector(faultInj.get());
-#else
-        throwSimError(SimErrorKind::Config,
-                      "fault injection requested but this build was "
-                      "configured with CMPMEM_FAULTS=OFF");
-#endif
     }
 
     const Clock clock = cfg.coreClock();

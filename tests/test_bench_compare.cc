@@ -1,11 +1,11 @@
 /**
  * @file
- * The perf-regression gate, end to end (DESIGN.md §14): the JSON
+ * The baseline identity gate, end to end (DESIGN.md §14): the JSON
  * reader must reject every malformed artifact loudly, and
  * bench_compare must hold simulated stats to bit-identity while
- * excluding (but still guarding) the host-time-derived fields. The
- * doctored-artifact cases are the executable spec for "the gate
- * fails with the offending metric named".
+ * ignoring the host-time-derived fields. The doctored-artifact cases
+ * are the executable spec for "the gate fails with the offending
+ * metric named".
  */
 
 #include <gtest/gtest.h>
@@ -160,12 +160,10 @@ jobNamed(JsonValue &artifact, const std::string &id)
 TEST(BenchCompare, IdenticalArtifactsCompareClean)
 {
     JsonValue base = makeArtifact();
-    CompareReport rep = compareArtifacts(base, {base, base, base});
+    CompareReport rep = compareArtifacts(base, base);
     EXPECT_TRUE(rep.identityClean());
-    EXPECT_TRUE(rep.hostClean());
     EXPECT_EQ(rep.exitCode(), 0);
     EXPECT_EQ(rep.jobsCompared, 2u);
-    EXPECT_EQ(rep.repeats, 3u);
 }
 
 TEST(BenchCompare, DoctoredStatFailsNamingTheMetric)
@@ -177,7 +175,7 @@ TEST(BenchCompare, DoctoredStatFailsNamingTheMetric)
               JsonValue::makeNumber(
                   stats.at("sim.events_executed").asNumber() + 1));
 
-    CompareReport rep = compareArtifacts(base, {fresh});
+    CompareReport rep = compareArtifacts(base, fresh);
     EXPECT_EQ(rep.exitCode(), 1);
     ASSERT_EQ(rep.identity.size(), 1u);
     EXPECT_EQ(rep.identity[0].jobId, "beta");
@@ -195,7 +193,7 @@ TEST(BenchCompare, DigestDriftIsAnIdentityFailure)
     jobNamed(fresh, "alpha")
         .set("stats_digest",
              JsonValue::makeString("fnv1a:0000000000000000"));
-    CompareReport rep = compareArtifacts(base, {fresh});
+    CompareReport rep = compareArtifacts(base, fresh);
     EXPECT_EQ(rep.exitCode(), 1);
     ASSERT_EQ(rep.identity.size(), 1u);
     EXPECT_EQ(rep.identity[0].metric, "stats_digest");
@@ -206,7 +204,7 @@ TEST(BenchCompare, MissingJobIsAnIdentityFailure)
     JsonValue base = makeArtifact();
     JsonValue fresh = base;
     fresh.at("results").items().pop_back();
-    CompareReport rep = compareArtifacts(base, {fresh});
+    CompareReport rep = compareArtifacts(base, fresh);
     EXPECT_EQ(rep.exitCode(), 1);
     ASSERT_EQ(rep.identity.size(), 1u);
     EXPECT_EQ(rep.identity[0].jobId, "beta");
@@ -214,21 +212,31 @@ TEST(BenchCompare, MissingJobIsAnIdentityFailure)
 
 TEST(BenchCompare, HostFieldsAreExcludedFromIdentity)
 {
+    // Every host-time member 10x slower: host time is not the
+    // baselines' business (benchmark/ judges it), so the gate stays
+    // clean.
     JsonValue base = makeArtifact();
     JsonValue fresh = base;
+    auto scale = [](JsonValue &obj, const char *name, double factor) {
+        obj.set(name, JsonValue::makeNumber(obj.at(name).asNumber() *
+                                            factor));
+    };
     for (const char *id : {"alpha", "beta"}) {
         JsonValue &job = jobNamed(fresh, id);
-        job.set("host_seconds", JsonValue::makeNumber(123.0));
-        // Faster than baseline: excluded from identity AND not a
-        // regression.
-        job.set("events_per_sec",
-                JsonValue::makeNumber(
-                    job.at("events_per_sec").asNumber() * 2));
+        scale(job, "host_seconds", 10);
+        for (const char *rate :
+             {"events_per_sec", "accesses_per_sec", "misses_per_sec"})
+            scale(job, rate, 0.1);
     }
-    CompareReport rep = compareArtifacts(base, {fresh});
+    scale(fresh, "wall_seconds", 10);
+    scale(fresh, "serial_seconds", 10);
+    scale(fresh, "speedup", 0.1);
+    scale(fresh, "workers", 10);
+    CompareReport rep = compareArtifacts(base, fresh);
     EXPECT_TRUE(rep.identityClean());
-    EXPECT_TRUE(rep.hostClean());
     EXPECT_EQ(rep.exitCode(), 0);
+    EXPECT_EQ(rep.format().find("host"), std::string::npos)
+        << rep.format();
 }
 
 TEST(BenchCompare, RetryBookkeepingIsExcludedFromIdentity)
@@ -243,7 +251,7 @@ TEST(BenchCompare, RetryBookkeepingIsExcludedFromIdentity)
         JsonValue &job = jobNamed(fresh, id);
         job.set("attempts", JsonValue::makeNumber(3));
     }
-    CompareReport rep = compareArtifacts(base, {fresh});
+    CompareReport rep = compareArtifacts(base, fresh);
     EXPECT_TRUE(rep.identityClean());
     EXPECT_EQ(rep.exitCode(), 0);
 
@@ -256,60 +264,23 @@ TEST(BenchCompare, RetryBookkeepingIsExcludedFromIdentity)
         text.erase(pos, end - pos + 1);
     }
     JsonValue old = JsonValue::parse(text);
-    EXPECT_TRUE(compareArtifacts(old, {fresh}).identityClean());
-}
-
-TEST(BenchCompare, ThroughputDropBeyondToleranceIsFlagged)
-{
-    JsonValue base = makeArtifact();
-    JsonValue fresh = base;
-    JsonValue &job = jobNamed(fresh, "alpha");
-    job.set("events_per_sec",
-            JsonValue::makeNumber(
-                job.at("events_per_sec").asNumber() * 0.8));
-
-    CompareReport rep = compareArtifacts(base, {fresh, fresh, fresh});
-    EXPECT_TRUE(rep.identityClean());
-    ASSERT_EQ(rep.host.size(), 1u);
-    EXPECT_EQ(rep.host[0].jobId, "alpha");
-    EXPECT_EQ(rep.host[0].metric, "events_per_sec");
-    EXPECT_EQ(rep.exitCode(), 3);
-
-    CompareOptions warn;
-    warn.hostMode = HostMode::Warn;
-    EXPECT_EQ(compareArtifacts(base, {fresh}, warn).exitCode(), 0);
-    CompareOptions off;
-    off.hostMode = HostMode::Off;
-    EXPECT_TRUE(compareArtifacts(base, {fresh}, off).hostClean());
-}
-
-TEST(BenchCompare, MedianOverRepeatsAbsorbsOneSlowOutlier)
-{
-    JsonValue base = makeArtifact();
-    JsonValue slow = base;
-    JsonValue &job = jobNamed(slow, "alpha");
-    job.set("events_per_sec",
-            JsonValue::makeNumber(
-                job.at("events_per_sec").asNumber() * 0.5));
-    // Two clean repeats and one 2x-slower outlier: the median sits at
-    // baseline, so the gate stays green.
-    CompareReport rep = compareArtifacts(base, {base, slow, base});
-    EXPECT_TRUE(rep.hostClean());
-    EXPECT_EQ(rep.exitCode(), 0);
+    EXPECT_TRUE(compareArtifacts(old, fresh).identityClean());
 }
 
 TEST(BenchCompare, RefusesDifferentSizings)
 {
     JsonValue base = makeArtifact();
     JsonValue fresh = base;
-    fresh.set("bench_scale_div", JsonValue::makeNumber(20));
+    fresh.set("scale", JsonValue::makeNumber(
+                           fresh.at("scale").asNumber() + 1));
     try {
-        compareArtifacts(base, {fresh});
-        FAIL() << "compared across bench_scale_div";
+        compareArtifacts(base, fresh);
+        FAIL() << "compared across scales";
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), SimErrorKind::Config);
-        EXPECT_NE(std::string(e.what()).find("bench_scale_div"),
-                  std::string::npos);
+        EXPECT_NE(std::string(e.what()).find("scale="),
+                  std::string::npos)
+            << e.what();
     }
 }
 
@@ -324,7 +295,7 @@ TEST(BenchCompare, RefusesCrossPolicyDiffNamingTheField)
         .at("config")
         .set("l1_replacement", JsonValue::makeString("MIP"));
     try {
-        compareArtifacts(base, {fresh});
+        compareArtifacts(base, fresh);
         FAIL() << "compared across replacement policies";
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), SimErrorKind::Config);
@@ -344,7 +315,7 @@ TEST(BenchCompare, NonPolicyConfigDriftNamesTheField)
     jobNamed(fresh, "alpha")
         .at("config")
         .set("cores", JsonValue::makeNumber(8));
-    CompareReport rep = compareArtifacts(base, {fresh});
+    CompareReport rep = compareArtifacts(base, fresh);
     EXPECT_EQ(rep.exitCode(), 1);
     ASSERT_EQ(rep.identity.size(), 1u);
     EXPECT_EQ(rep.identity[0].jobId, "alpha");
@@ -356,11 +327,11 @@ TEST(BenchCompare, RefusesUnknownSchemaAndForeignSweep)
     JsonValue base = makeArtifact();
     JsonValue old = base;
     old.set("schema", JsonValue::makeNumber(1));
-    EXPECT_THROW(compareArtifacts(base, {old}), SimError);
+    EXPECT_THROW(compareArtifacts(base, old), SimError);
 
     JsonValue other = base;
     other.set("sweep", JsonValue::makeString("some_other_sweep"));
-    EXPECT_THROW(compareArtifacts(base, {other}), SimError);
+    EXPECT_THROW(compareArtifacts(base, other), SimError);
 }
 
 TEST(BenchCompare, NewJobIsANoteNotAFailure)
@@ -368,32 +339,10 @@ TEST(BenchCompare, NewJobIsANoteNotAFailure)
     JsonValue base = makeArtifact();
     JsonValue fresh = base;
     base.at("results").items().pop_back(); // baseline predates "beta"
-    CompareReport rep = compareArtifacts(base, {fresh});
+    CompareReport rep = compareArtifacts(base, fresh);
     EXPECT_EQ(rep.exitCode(), 0);
     ASSERT_EQ(rep.notes.size(), 1u);
     EXPECT_NE(rep.notes[0].find("beta"), std::string::npos);
-}
-
-TEST(BenchCompare, AnnotateWritesSummaryIntoArtifact)
-{
-    JsonValue base = makeArtifact();
-    std::string path =
-        testing::TempDir() + "/BENCH_gate_test_annotate.json";
-    {
-        std::ofstream ofs(path, std::ios::trunc);
-        ofs << base.dump();
-    }
-    CompareReport rep = compareArtifacts(base, {base});
-    annotateArtifact(path, rep);
-
-    JsonValue doc = JsonValue::parseFile(path);
-    const JsonValue &cmp = doc.at("compare");
-    EXPECT_TRUE(cmp.at("identity_clean").asBool());
-    EXPECT_EQ(cmp.at("exit_code").asNumber(), 0);
-    EXPECT_EQ(cmp.at("host_mode").asString(), "strict");
-    // The rest of the document survived the rewrite.
-    EXPECT_EQ(doc.at("results").items().size(), 2u);
-    std::remove(path.c_str());
 }
 
 TEST(BenchCompare, TruncatedArtifactFileIsRejected)
@@ -418,14 +367,6 @@ TEST(BenchCompare, TruncatedArtifactFileIsRejected)
                   std::string::npos);
     }
     std::remove(path.c_str());
-}
-
-TEST(BenchCompare, ParseHostModeValidates)
-{
-    EXPECT_EQ(parseHostMode("strict"), HostMode::Strict);
-    EXPECT_EQ(parseHostMode("warn"), HostMode::Warn);
-    EXPECT_EQ(parseHostMode("off"), HostMode::Off);
-    EXPECT_THROW(parseHostMode("loose"), SimError);
 }
 
 } // namespace

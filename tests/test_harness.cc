@@ -13,6 +13,8 @@
 #include <string>
 #include <thread>
 
+#include <unistd.h>
+
 #include "cmpmem.hh"
 
 namespace cmpmem
@@ -219,12 +221,6 @@ TEST(BenchInputsDeathTest, MalformedEnvironmentIsFatal)
         "CMPMEM_SCALE: '1O'");
     EXPECT_DEATH(
         {
-            setenv("CMPMEM_BENCH_SCALE", "twenty", 1);
-            benchScaleDivisor();
-        },
-        "CMPMEM_BENCH_SCALE: 'twenty'");
-    EXPECT_DEATH(
-        {
             setenv("CMPMEM_JOBS", "4 ", 1);
             sweepWorkerCount(0);
         },
@@ -236,18 +232,36 @@ TEST(BenchInputs, UnsetOrEmptyEnvironmentKeepsDefaults)
     const int hw = std::max(1, int(std::thread::hardware_concurrency()));
     for (const char *value : {static_cast<const char *>(nullptr), ""}) {
         ScopedEnv scale("CMPMEM_SCALE", value);
-        ScopedEnv div("CMPMEM_BENCH_SCALE", value);
         ScopedEnv jobs("CMPMEM_JOBS", value);
         EXPECT_EQ(benchScale(), 1);
-        EXPECT_EQ(benchScaleDivisor(), 1u);
+        EXPECT_EQ(benchIters(7), 140u);
         EXPECT_EQ(sweepWorkerCount(0), hw);
     }
     ScopedEnv scale("CMPMEM_SCALE", "0");
-    ScopedEnv div("CMPMEM_BENCH_SCALE", "20");
     ScopedEnv jobs("CMPMEM_JOBS", "3");
     EXPECT_EQ(benchScale(), 0);
-    EXPECT_EQ(benchScaleDivisor(), 20u);
+    EXPECT_EQ(benchIters(7), 7u);
     EXPECT_EQ(sweepWorkerCount(0), 3);
+}
+
+TEST(BenchArtifact, FailedWriteIsAFailureNotAPath)
+{
+    // An artifact whose write fails after the file opened (a full
+    // disk, an I/O error) must not be reported as written.
+    if (access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no writable /dev/full";
+    std::string dir = testing::TempDir() + "/cmpmem_artifact_XXXXXX";
+    ASSERT_NE(mkdtemp(dir.data()), nullptr);
+    const std::string link = dir + "/BENCH_probe.json";
+    ASSERT_EQ(symlink("/dev/full", link.c_str()), 0);
+    ScopedEnv artifacts("CMPMEM_ARTIFACT_DIR", dir.c_str());
+
+    SweepResult res("probe", {}, 0.0, 1);
+    EXPECT_EQ(res.writeArtifact(), "");
+    EXPECT_EQ(finishBench(res), 1);
+
+    unlink(link.c_str());
+    rmdir(dir.c_str());
 }
 
 } // namespace

@@ -439,22 +439,22 @@ TEST(SweepJournalTest, RefusesForeignSweep)
 
 TEST(SweepJournalTest, RefusesOlderSchema)
 {
-    // A journal written before records carried miss_path_allocs.
+    // A journal written while its header still carried the
+    // micro-iteration divisor.
     const std::string path = tempPath("cmpmem_journal_schema.jsonl");
     {
         std::ofstream ofs(path, std::ios::trunc | std::ios::binary);
-        ofs << fmt("{\"journal\": \"jt\", \"schema\": 2, \"scale\": %d, "
-                   "\"bench_scale_div\": %llu}\n",
-                   benchScale(),
-                   (unsigned long long)benchScaleDivisor());
+        ofs << fmt("{\"journal\": \"jt\", \"schema\": 3, \"scale\": %d, "
+                   "\"bench_scale_div\": 1}\n",
+                   benchScale());
     }
     std::vector<SweepJob> jobs = {fixedJob("a", 0)};
     try {
         SweepJournal::load(path, "jt", jobs);
-        FAIL() << "merged a journal written under schema 2";
+        FAIL() << "merged a journal written under schema 3";
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), SimErrorKind::Config);
-        EXPECT_NE(std::string(e.what()).find("schema 2"),
+        EXPECT_NE(std::string(e.what()).find("schema 3"),
                   std::string::npos)
             << e.what();
     }
@@ -602,7 +602,7 @@ TEST(SupervisorResume, KillMidSweepThenResumeMatchesUninterrupted)
     SweepResult reference = runJobs("resume_ut", makeJobs(), plain);
     CompareReport rep =
         compareArtifacts(JsonValue::parse(reference.toJson()),
-                         {JsonValue::parse(resumed.toJson())});
+                         JsonValue::parse(resumed.toJson()));
     EXPECT_TRUE(rep.identityClean()) << rep.format();
     std::remove(jpath.c_str());
 }

@@ -409,7 +409,6 @@ TEST(SweepJson, ArtifactIsValidAndCarriesTheSchema)
               std::string::npos);
     EXPECT_NE(json.find("\"schema\": 2"), std::string::npos);
     EXPECT_NE(json.find("\"scale\": "), std::string::npos);
-    EXPECT_NE(json.find("\"bench_scale_div\": "), std::string::npos);
     EXPECT_NE(json.find("\"stats_digest\": \"fnv1a:"),
               std::string::npos);
     EXPECT_NE(json.find("\"id\": \"fir/model=CC\""),
