@@ -53,13 +53,11 @@ benches=(
     ablation_dram
     ablation_hybrid
     policy_space
-    micro_events
-    micro_access
-    micro_miss
 )
 
 echo "==> configuring build"
-cmake -S . -B build -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
+# Keeps the generator of an existing build/ (CMake's default if new).
+cmake -S . -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
 echo "==> building bench suite"
 cmake --build build -j "${jobs}" --target "${benches[@]}" bench_compare
 
@@ -94,27 +92,3 @@ else
     echo "==> skipping baseline comparison (sizing differs from the"
     echo "    pinned baseline config; see DESIGN.md §14)"
 fi
-
-# One-line host-throughput aggregate across every job in every
-# artifact, for eyeballing the trajectory PR over PR.
-python3 - "${root}"/BENCH_*.json <<'EOF'
-import json, sys
-
-host = events = accesses = 0.0
-jobs = 0
-for path in sys.argv[1:]:
-    with open(path) as f:
-        doc = json.load(f)
-    for job in doc.get("results", []):
-        if not job.get("ran"):
-            continue
-        jobs += 1
-        secs = job.get("host_seconds", 0.0)
-        host += secs
-        events += job.get("events_per_sec", 0.0) * secs
-        accesses += job.get("accesses_per_sec", 0.0) * secs
-if host > 0:
-    print(f"==> summary: {jobs} jobs, {host:.1f} s host CPU, "
-          f"{events / host:.3g} events/sec, "
-          f"{accesses / host:.3g} accesses/sec (host-time weighted)")
-EOF

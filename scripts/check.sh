@@ -11,11 +11,11 @@
 # --full: the pre-ship sweep. Runs the complete suite (including the
 # long label) in the plain Release configuration, then re-runs the
 # sweep and supervisor suites with CMPMEM_ISOLATE=1 (every job in a
-# forked sandbox, plus the kill-then-resume gate and micro_miss's
-# gate; DESIGN.md §16), then runs the host-cost benchmark once for
-# 1 s per workload (benchmark/run.sh exits non-zero on any job whose
-# stats digest differs from benchmark/expected_digests.json) and its
-# replica fidelity test, then builds and runs everything again under
+# forked sandbox, plus the kill-then-resume gate; DESIGN.md §16), then
+# runs the host-cost benchmark once for 1 s per workload
+# (benchmark/run.sh exits non-zero on any job whose stats digest
+# differs from benchmark/expected_digests.json) and its replica
+# fidelity test, then builds and runs everything again under
 # AddressSanitizer + UBSan (CMPMEM_SANITIZE=ON) and re-runs the sweep
 # and supervisor suites there with CMPMEM_ISOLATE=1, finishes the
 # sanitized leg with a widened fault-injection stress pass
@@ -27,19 +27,19 @@
 # ships.
 #
 # --update-baselines: regenerate baselines/BENCH_*.json from the
-# current tree (Release, CMPMEM_SCALE=0) and stop. Run this
-# deliberately when a reviewed change moves simulated stats, and
-# commit the result.
+# current tree (Release, CMPMEM_SCALE=0) and stop, one per gate_<bench>
+# entry in bench/CMakeLists.txt. Run this deliberately when a reviewed
+# change moves simulated stats, and commit the result.
+#
+# Every configure keeps the generator of an existing tree (so it works
+# on a build/ made by a plain `cmake -B build -S .`); a new tree gets
+# CMake's default.
 #
 # Usage: scripts/check.sh [--full | --update-baselines] [jobs]
 
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-
-# The benches with committed baselines; keep in step with the
-# cmpmem_gate() entries in bench/CMakeLists.txt and DESIGN.md §14.
-gate_benches="micro_events micro_access micro_miss table3 policy_space fig2_scaling fig3_traffic"
 
 full=0
 update=0
@@ -61,7 +61,7 @@ run_config() {
     local label_args="$2"
     shift 2
     echo "==> configuring ${dir} ($*)"
-    cmake -S . -B "${dir}" -G Ninja "$@" >/dev/null
+    cmake -S . -B "${dir}" "$@" >/dev/null
     echo "==> building ${dir}"
     cmake --build "${dir}" -j "${jobs}"
     echo "==> testing ${dir}"
@@ -72,8 +72,11 @@ run_config() {
 
 if [[ "${update}" -eq 1 ]]; then
     echo "==> regenerating baselines/ (Release, CMPMEM_SCALE=0)"
-    cmake -S . -B build -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
+    cmake -S . -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
     cmake --build build -j "${jobs}"
+    # The gated benches, as bench/CMakeLists.txt registers them.
+    gate_benches="$(ctest --test-dir build -N |
+        sed -n '/: gate_resume_/d; s/^ *Test *#[0-9]*: gate_//p')"
     for bench in ${gate_benches}; do
         CMPMEM_SCALE=0 CMPMEM_ARTIFACT_DIR=baselines \
             "build/bench/${bench}" >/dev/null
@@ -87,7 +90,6 @@ if [[ "${update}" -eq 1 ]]; then
         echo "==> staged baseline changes:"
         git --no-pager diff --cached --stat -- baselines
         echo "==> review the per-metric diff and commit deliberately"
-        echo "    (remember matching golden digests in tests/test_golden.cc)"
     fi
     exit 0
 fi
@@ -99,11 +101,9 @@ if [[ "${full}" -eq 1 ]]; then
     # a forked sandbox: the §16 contract says sandboxed execution is
     # bit-identical and the whole determinism story must hold through
     # the process boundary. This includes gate_resume_table3, the
-    # kill-then-resume bench gate, and gate_micro_miss, whose
-    # zero-allocation check reads miss_path_allocs back through the
-    # sandbox codec.
+    # kill-then-resume bench gate.
     CMPMEM_ISOLATE=1 ctest --test-dir build --output-on-failure \
-        -j "${jobs}" -R 'test_sweep|test_supervisor|gate_resume|micro_miss'
+        -j "${jobs}" -R 'test_sweep|test_supervisor|gate_resume'
     echo "==> benchmark digest pass (benchmark/, 1 s per workload)"
     # The 19 benchmark jobs' expected digests and the replica fidelity
     # test are what a host-time change leans on; no other pass builds
@@ -126,7 +126,7 @@ if [[ "${full}" -eq 1 ]]; then
     # TSan and ASan cannot share a build; a third tree covers the one
     # suite that actually runs host threads — the inter-job sweep
     # pool (DESIGN.md §10, §16). A single simulation is one thread.
-    cmake -S . -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=Release \
+    cmake -S . -B build-tsan -DCMAKE_BUILD_TYPE=Release \
         -DCMPMEM_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "${jobs}"
     ctest --test-dir build-tsan --output-on-failure -j "${jobs}" \

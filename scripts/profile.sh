@@ -15,11 +15,11 @@
 # output repeats: coroutine bodies are charged to other symbols,
 # tiny hot functions are under-reported, and libc is invisible.
 #
-# Usage: scripts/profile.sh [--bench NAME] [command args...]
+# Usage: scripts/profile.sh --bench NAME [args...]
+#        scripts/profile.sh command [args...]
 #        scripts/profile.sh --workload NAME [cmpmem_bench args...]
-#   default command: <tree>/bench/micro_access
 #   --bench NAME is shorthand for <tree>/bench/NAME (e.g.
-#   `scripts/profile.sh --bench micro_miss` profiles the miss path)
+#   `scripts/profile.sh --bench fig3_traffic`)
 #   <tree> is build-profile, or build-gprof on the gprof path; a
 #   command given as build-profile/... runs from build-gprof/ there.
 #   --workload NAME profiles one workload of the host-cost benchmark
@@ -69,7 +69,9 @@ else
     fi
     cmd+=("$@")
     if [ "${#cmd[@]}" -eq 0 ]; then
-        cmd=("${tree}/bench/micro_access")
+        echo "usage: scripts/profile.sh --bench NAME | --workload NAME |" \
+            "command [args...]" >&2
+        exit 2
     fi
     cmd[0]="${cmd[0]/#build-profile\//${tree}/}"
 

@@ -10,9 +10,9 @@
  * regenerated deliberately via scripts/check.sh --update-baselines).
  *
  * Every other member is ignored: the host-time-derived ones
- * ("host_seconds", the "*_per_sec" rates, the sweep-level
- * wall/serial/speedup/workers) vary run to run, and host time has its
- * own judge in benchmark/. The artifact records "scale"
+ * ("host_seconds", the sweep-level wall/serial/speedup/workers, and
+ * the host rates older artifacts carry) vary run to run, and host
+ * time has its own judge in benchmark/. The artifact records "scale"
  * (CMPMEM_SCALE), which legitimately changes simulated stats;
  * comparing across different scales is refused outright rather than
  * reported as a mismatch.

@@ -147,40 +147,25 @@ benchScale()
     return envInt("CMPMEM_SCALE", 1);
 }
 
-std::uint64_t
-benchIters(std::uint64_t base)
-{
-    const int scale = benchScale();
-    return scale <= 0 ? base : base * 20 * std::uint64_t(scale);
-}
-
 SweepResult
-runBenchJobs(const std::string &name, std::vector<SweepJob> jobs,
-             SweepOptions opts)
+runBenchSweep(const SweepSpec &spec)
 {
+    SweepOptions opts;
     if (benchIsolate)
         opts.isolate = SweepIsolate::On;
-    if (benchResume)
-        opts.resume = true;
-    if (benchRetries > 0 && opts.maxRetries == 0)
+    opts.resume = benchResume;
+    if (benchRetries > 0)
         opts.maxRetries = benchRetries;
-    if (benchDeadline > 0 && opts.jobDeadlineSeconds <= 0)
+    if (benchDeadline > 0)
         opts.jobDeadlineSeconds = benchDeadline;
-    if (opts.journalPath.empty())
-        opts.journalPath = journalPath(name);
+    opts.journalPath = journalPath(spec.name());
     try {
-        return runJobs(name, std::move(jobs), opts);
+        return runSweep(spec, opts);
     } catch (const SimError &e) {
         // Resume refusal (journal identity mismatch) and similar
         // harness-level Config errors: CLI misuse, not a bug.
         fatal("%s", e.what());
     }
-}
-
-SweepResult
-runBenchSweep(const SweepSpec &spec, SweepOptions opts)
-{
-    return runBenchJobs(spec.name(), spec.expand(), std::move(opts));
 }
 
 int

@@ -8,7 +8,6 @@
 #ifndef CMPMEM_HARNESS_EXPERIMENT_HH
 #define CMPMEM_HARNESS_EXPERIMENT_HH
 
-#include <cstdint>
 #include <string>
 
 #include "harness/runner.hh"
@@ -92,13 +91,6 @@ WorkloadParams benchParams();
 int benchScale();
 
 /**
- * @p base iterations scaled for the current environment:
- * base * max(1, 20 * CMPMEM_SCALE). The common sizing helper of the
- * micro benches.
- */
-std::uint64_t benchIters(std::uint64_t base);
-
-/**
  * Bench epilogue: print the sweep's aggregate host-time and
  * speedup line (serial-sum vs wall-clock), write the
  * BENCH_<name>.json artifact, and return the process exit code
@@ -108,17 +100,14 @@ std::uint64_t benchIters(std::uint64_t base);
 int finishBench(const SweepResult &res);
 
 /**
- * runSweep()/runJobs() with the process-wide bench options folded
- * in: --isolate/--resume/--retries/--deadline from parseBenchArgs(),
- * plus a write-ahead journal at journalPath(name) (fresh unless
- * resuming). A resume refusal (SimErrorKind::Config) is fatal()ed
- * with its message instead of escaping main(). Every bench main
- * calls these instead of the raw engine entry points.
+ * runSweep() with the process-wide bench options:
+ * --isolate/--resume/--retries/--deadline from parseBenchArgs(), plus
+ * a write-ahead journal at journalPath(name) (fresh unless resuming).
+ * A resume refusal (SimErrorKind::Config) is fatal()ed with its
+ * message instead of escaping main(). Every bench main calls this
+ * instead of the raw engine entry point.
  */
-SweepResult runBenchSweep(const SweepSpec &spec, SweepOptions opts = {});
-SweepResult runBenchJobs(const std::string &name,
-                         std::vector<SweepJob> jobs,
-                         SweepOptions opts = {});
+SweepResult runBenchSweep(const SweepSpec &spec);
 
 } // namespace cmpmem
 

@@ -22,52 +22,6 @@ struct RunResult
     EnergyBreakdown energy;
     bool verified = false;
     double hostSeconds = 0; ///< host CPU cost of this simulation
-
-    /**
-     * Simulator host throughput: events dispatched per host CPU
-     * second. Nondeterministic (depends on the machine and its
-     * load), so it is reported alongside host_seconds rather than in
-     * the deterministic stats block.
-     */
-    double
-    eventsPerSec() const
-    {
-        return hostSeconds > 0 ? double(stats.eventsExecuted) / hostSeconds
-                               : 0;
-    }
-
-    /**
-     * Access-path host throughput: simulated first-level data
-     * accesses (loads, stores, atomics, local-store reads/writes)
-     * per host CPU second — the figure of merit for the memory-access
-     * fast path (DESIGN.md §13). Nondeterministic, like
-     * eventsPerSec(), so it is reported next to it rather than in
-     * the deterministic stats block.
-     */
-    double
-    accessesPerSec() const
-    {
-        const CoreStats &c = stats.coreTotal;
-        const double a = double(c.loads + c.stores + c.atomics +
-                                c.lsReads + c.lsWrites);
-        return hostSeconds > 0 ? a / hostSeconds : 0;
-    }
-
-    /**
-     * Miss-path host throughput: simulated miss-side transactions
-     * (L1 demand misses, PFS allocates, DMA line-granule accesses)
-     * per host CPU second — the figure of merit for the allocation-
-     * free miss path (DESIGN.md §18). Nondeterministic, like the
-     * other per-second figures.
-     */
-    double
-    missesPerSec() const
-    {
-        const double m = double(stats.l1Total.demandMisses() +
-                                stats.l1Total.pfsStores +
-                                stats.dmaAccesses);
-        return hostSeconds > 0 ? m / hostSeconds : 0;
-    }
 };
 
 /**

@@ -367,12 +367,6 @@ SweepResult::toJson() const
         }
         job.set("verified", JsonValue::makeBool(jr.run.verified));
         job.set("host_seconds", JsonValue::makeNumber(jr.run.hostSeconds));
-        job.set("events_per_sec",
-                JsonValue::makeNumber(jr.run.eventsPerSec()));
-        job.set("accesses_per_sec",
-                JsonValue::makeNumber(jr.run.accessesPerSec()));
-        job.set("misses_per_sec",
-                JsonValue::makeNumber(jr.run.missesPerSec()));
         job.set("miss_path_allocs",
                 JsonValue::makeNumber(double(jr.run.stats.missPathAllocs)));
         const StatSet set = jr.run.stats.toStatSet();

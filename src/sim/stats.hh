@@ -79,8 +79,8 @@ class StatSet
      * Order-sensitive 64-bit FNV-1a digest over every (name, value)
      * pair, hashing the exact IEEE-754 bit pattern of each value —
      * two sets digest equal iff their names, insertion order, and
-     * values are bit-identical. The compact currency of the golden
-     * regressions (tests/test_golden.cc) and the bench_compare gate:
+     * values are bit-identical. The compact currency of the baseline
+     * gate (bench_compare) and the benchmark's expected digests:
      * "fnv1a:" followed by 16 hex digits.
      */
     std::string digest() const;

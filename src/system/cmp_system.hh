@@ -94,7 +94,9 @@ struct RunStats
      * Miss-path host allocations (DESIGN.md §18): heap allocations
      * taken by MSHR waiter pools and DMA scratch buffers past their
      * warm-up reservations, summed over all cores. Host-side only
-     * (never enters toStatSet()); 0 in steady state.
+     * (never enters toStatSet()). A DMA command shape larger than the
+     * warm-up reservation may grow its engine's scratch once; steady
+     * state never allocates.
      */
     std::uint64_t missPathAllocs = 0;
 

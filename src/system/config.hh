@@ -30,7 +30,7 @@ namespace cmpmem
  * algorithm, plus their sizing knobs. The defaults reproduce the
  * paper's fixed policy point — true LRU everywhere and the tagged
  * sequential stream prefetcher — bit-identically (pinned by the
- * golden digests in tests/test_golden.cc).
+ * baseline gates, DESIGN.md §14).
  */
 struct CachePolicyConfig
 {
