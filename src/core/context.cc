@@ -34,9 +34,8 @@ Context::atomicFetchAdd32(Addr addr, std::int32_t delta)
         // Streaming model: the RMW executes at the shared L2's
         // atomic unit.
         CoherenceFabric *fab = c.fabric();
-        Tick done = fab->remoteAtomic(
-            c.now(), fab->clusterOf(c.id()),
-            addr & ~Addr(31));
+        Tick done = fab->remoteAtomic(c.now(), fab->clusterOf(c.id()),
+                                      c.dcache()->tags().lineAddr(addr));
         c.finishWait(done);
     }
     return {&c, old};
@@ -45,10 +44,10 @@ Context::atomicFetchAdd32(Addr addr, std::int32_t delta)
 OpAwait
 Context::prefetchBlock(Addr addr, std::uint32_t bytes)
 {
-    constexpr Addr line = 32;
-    Addr first = addr & ~(line - 1);
-    Addr last = (addr + bytes - 1) & ~(line - 1);
-    for (Addr a = first; a <= last; a += line) {
+    const CacheArray &tags = c.dcache()->tags();
+    const Addr line = tags.geometry().lineBytes;
+    Addr last = tags.lineAddr(addr + bytes - 1);
+    for (Addr a = tags.lineAddr(addr); a <= last; a += line) {
         c.advanceIssue();
         c.dcache()->softwarePrefetch(c.now(), a);
     }
@@ -117,24 +116,27 @@ Context::throwNoLocalStore() const
                   c.id());
 }
 
+template <typename Issue>
 ValueAwait<Context::Ticket>
-Context::dmaGet(Addr mem_addr, std::uint32_t ls_off, std::uint32_t bytes)
+Context::dmaCommand(Cycles staging, Issue issue)
 {
     requireDma();
     ++c.statsMut().dmaCommands;
-    c.advanceUseful(cfg.dmaCommandCycles);
-    Ticket tk = c.dma()->get(c.now(), mem_addr, ls_off, bytes);
+    c.advanceUseful(cfg.dmaCommandCycles + staging);
+    Ticket tk = issue(*c.dma(), c.now());
     return {settle().core, tk};
+}
+
+ValueAwait<Context::Ticket>
+Context::dmaGet(Addr mem_addr, std::uint32_t ls_off, std::uint32_t bytes)
+{
+    return dmaGetStrided(mem_addr, 0, bytes, 1, ls_off);
 }
 
 ValueAwait<Context::Ticket>
 Context::dmaPut(Addr mem_addr, std::uint32_t ls_off, std::uint32_t bytes)
 {
-    requireDma();
-    ++c.statsMut().dmaCommands;
-    c.advanceUseful(cfg.dmaCommandCycles);
-    Ticket tk = c.dma()->put(c.now(), mem_addr, ls_off, bytes);
-    return {settle().core, tk};
+    return dmaPutStrided(mem_addr, 0, bytes, 1, ls_off);
 }
 
 ValueAwait<Context::Ticket>
@@ -142,12 +144,10 @@ Context::dmaGetStrided(Addr mem_base, std::uint64_t mem_stride,
                        std::uint32_t row_bytes, std::uint32_t rows,
                        std::uint32_t ls_off)
 {
-    requireDma();
-    ++c.statsMut().dmaCommands;
-    c.advanceUseful(cfg.dmaCommandCycles);
-    Ticket tk = c.dma()->getStrided(c.now(), mem_base, mem_stride,
-                                    row_bytes, rows, ls_off);
-    return {settle().core, tk};
+    return dmaCommand(0, [&](DmaEngine &dma, Tick t) {
+        return dma.strided(t, DmaEngine::Dir::Get, mem_base, mem_stride,
+                           row_bytes, rows, ls_off);
+    });
 }
 
 ValueAwait<Context::Ticket>
@@ -155,36 +155,30 @@ Context::dmaPutStrided(Addr mem_base, std::uint64_t mem_stride,
                        std::uint32_t row_bytes, std::uint32_t rows,
                        std::uint32_t ls_off)
 {
-    requireDma();
-    ++c.statsMut().dmaCommands;
-    c.advanceUseful(cfg.dmaCommandCycles);
-    Ticket tk = c.dma()->putStrided(c.now(), mem_base, mem_stride,
-                                    row_bytes, rows, ls_off);
-    return {settle().core, tk};
+    return dmaCommand(0, [&](DmaEngine &dma, Tick t) {
+        return dma.strided(t, DmaEngine::Dir::Put, mem_base, mem_stride,
+                           row_bytes, rows, ls_off);
+    });
 }
 
 ValueAwait<Context::Ticket>
 Context::dmaGetIndexed(const std::vector<Addr> &addrs,
                        std::uint32_t elem_bytes, std::uint32_t ls_off)
 {
-    requireDma();
-    ++c.statsMut().dmaCommands;
-    // Indexed transfers also cost a bundle per element to stage the
-    // address list.
-    c.advanceUseful(cfg.dmaCommandCycles + Cycles(addrs.size()));
-    Ticket tk = c.dma()->getIndexed(c.now(), addrs, elem_bytes, ls_off);
-    return {settle().core, tk};
+    return dmaCommand(Cycles(addrs.size()), [&](DmaEngine &dma, Tick t) {
+        return dma.indexed(t, DmaEngine::Dir::Get, addrs, elem_bytes,
+                           ls_off);
+    });
 }
 
 ValueAwait<Context::Ticket>
 Context::dmaPutIndexed(const std::vector<Addr> &addrs,
                        std::uint32_t elem_bytes, std::uint32_t ls_off)
 {
-    requireDma();
-    ++c.statsMut().dmaCommands;
-    c.advanceUseful(cfg.dmaCommandCycles + Cycles(addrs.size()));
-    Ticket tk = c.dma()->putIndexed(c.now(), addrs, elem_bytes, ls_off);
-    return {settle().core, tk};
+    return dmaCommand(Cycles(addrs.size()), [&](DmaEngine &dma, Tick t) {
+        return dma.indexed(t, DmaEngine::Dir::Put, addrs, elem_bytes,
+                           ls_off);
+    });
 }
 
 OpAwait

@@ -181,7 +181,9 @@ class Context
      * cache-based systems could enable more efficient macroscopic
      * prefetching"): request every line of [addr, addr+bytes) into
      * this core's cache, fire-and-forget. Costs one issue bundle per
-     * line; no-op on the streaming model (use DMA there).
+     * line of the core's L1 geometry. On the streaming model it
+     * prefetches into the core's small cache in the same way (use
+     * DMA for the local store).
      */
     OpAwait prefetchBlock(Addr addr, std::uint32_t bytes);
 
@@ -264,6 +266,14 @@ class Context
   private:
     /** SimErrorKind::Model unless this core has a DMA engine (STR). */
     void requireDma() const;
+
+    /**
+     * Shared body of the dma* commands: count and charge the command,
+     * plus @p staging bundles (indexed transfers pay one per element
+     * to stage the address list), then @return issue(engine, now()).
+     */
+    template <typename Issue>
+    ValueAwait<Ticket> dmaCommand(Cycles staging, Issue issue);
 
     /** lsRead/lsWrite on a core without a local store (CC model). */
     [[noreturn]] void throwNoLocalStore() const;

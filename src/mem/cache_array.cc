@@ -47,33 +47,10 @@ CacheArray::CacheArray(const CacheGeometry &g, const ReplacementConfig &r)
     setMask = geom.sets() - 1;
     assocShift = log2Exact(geom.assoc);
     lines.resize(std::size_t(geom.sets()) * geom.assoc);
-    mruWay.assign(geom.sets(), 0);
-}
-
-CacheArray::Line *
-CacheArray::lookup(Addr addr)
-{
-    Addr la = lineAddr(addr);
-    std::size_t si = setIndex(addr);
-    Line *set = &lines[si << assocShift];
-
-    // Probe the set's MRU way first: back-to-back accesses to the
-    // same set overwhelmingly hit the way last touched.
-    std::uint32_t h = mruWay[si];
-    if (set[h].valid() && set[h].tag == la)
-        return &set[h];
-
-    for (std::uint32_t w = 0; w < geom.assoc; ++w) {
-        if (w != h && set[w].valid() && set[w].tag == la) {
-            mruWay[si] = w;
-            return &set[w];
-        }
-    }
-    return nullptr;
 }
 
 const CacheArray::Line *
-CacheArray::peek(Addr addr) const
+CacheArray::lookup(Addr addr) const
 {
     Addr la = lineAddr(addr);
     const Line *set = &lines[std::size_t(setIndex(addr)) << assocShift];
@@ -90,10 +67,8 @@ CacheArray::allocateImpl(Addr addr, Victim &victim)
 {
     assert(lookup(addr) == nullptr && "allocating a duplicate tag");
 
-    std::uint32_t si = setIndex(addr);
-    Line *set = &lines[std::size_t(si) << assocShift];
-    std::uint32_t way = Traits::victimWay(set, geom.assoc);
-    Line *pick = &set[way];
+    Line *set = &lines[std::size_t(setIndex(addr)) << assocShift];
+    Line *pick = &set[Traits::victimWay(set, geom.assoc)];
 
     victim.valid = pick->valid();
     victim.dirty = pick->dirty();
@@ -104,10 +79,6 @@ CacheArray::allocateImpl(Addr addr, Victim &victim)
     pick->state = MesiState::Invalid;
     pick->flags = 0;
     pick->lruStamp = Traits::insertionStamp(lruClock, rng, repl);
-    // The hit hint always tracks the fill (host-only: the demand
-    // that triggered it is about to access this way), even when the
-    // policy inserts at the recency-stack bottom.
-    mruWay[si] = way;
     return *pick;
 }
 

@@ -14,6 +14,7 @@
 #define CMPMEM_MEM_CACHE_ARRAY_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "mem/cache_policy.hh"
@@ -96,32 +97,22 @@ class CacheArray
     Addr lineAddr(Addr a) const { return a & ~Addr(geom.lineBytes - 1); }
 
     /**
-     * Find the line holding @p addr, or nullptr. Never updates
-     * replacement recency — that happens only through an explicit
-     * touch() — but the non-const overload does refresh the set's
-     * MRU-way hit hint (a host-only accelerator; see mruWay below).
-     * Callers on timing paths decide whether the probe counts as a
-     * use (demand access: lookup + touch) or not (snoop: lookup
-     * alone); observers that must not perturb even the hint use
-     * peek().
+     * Find the line holding @p addr, or nullptr: a plain scan of the
+     * set's ways that changes nothing. Only touch() moves recency, so
+     * callers on timing paths decide whether the probe counts as a
+     * use (demand access: lookup + touch) or not (snoop, checker
+     * audit, test assertion: lookup alone).
      */
-    Line *lookup(Addr addr);
+    const Line *lookup(Addr addr) const;
 
-    /** Const probe; an alias of peek() (no side effects at all). */
-    const Line *lookup(Addr addr) const { return peek(addr); }
+    Line *
+    lookup(Addr addr)
+    {
+        return const_cast<Line *>(std::as_const(*this).lookup(addr));
+    }
 
     /**
-     * Side-effect-free probe: find the line holding @p addr without
-     * touching recency state *or* the MRU-way hint. For observers —
-     * checker audits, test assertions, diagnostics — so that no
-     * caller can update recency (or any other array state) by
-     * accident.
-     */
-    const Line *peek(Addr addr) const;
-
-    /**
-     * Mark @p line most recently used. Also records the line's way
-     * as the set's hit hint, so the next lookup probes it first.
+     * Mark @p line most recently used.
      *
      * Deliberately policy-agnostic: every supported replacement
      * policy (cache_policy.hh) promotes to MRU on a demand hit, so
@@ -134,9 +125,6 @@ class CacheArray
         static_assert(LruEvictionBase::promoteOnHit,
                       "touch() assumes hit promotion is policy-agnostic");
         line.lruStamp = ++lruClock;
-        std::size_t idx = std::size_t(&line - lines.data());
-        mruWay[idx >> assocShift] =
-            std::uint32_t(idx) & (geom.assoc - 1);
     }
 
     /**
@@ -207,12 +195,6 @@ class CacheArray
     std::uint32_t setMask = 0;    ///< sets - 1
     std::uint32_t assocShift = 0; ///< log2(assoc)
     std::vector<Line> lines; ///< sets * assoc, set-major
-    /**
-     * Per-set MRU-way hit hint, probed first by lookup(). Purely a
-     * host-time optimization: a stale hint only costs the probe,
-     * never a wrong result (the tag is always re-validated).
-     */
-    std::vector<std::uint32_t> mruWay;
     std::uint64_t lruClock = 0;
 };
 

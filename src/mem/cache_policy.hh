@@ -20,8 +20,8 @@
  * Every trait shares LRU (min recency stamp) *eviction* and MRU
  * promotion on demand hit; only the insertion stamp differs. That is
  * why CacheArray::touch() — and with it the memory-access fast path's
- * MRU-way hint and per-core micro path — stays policy-agnostic: a
- * demand hit means "promote to MRU" under all four policies.
+ * per-core micro path — stays policy-agnostic: a demand hit means
+ * "promote to MRU" under all four policies.
  */
 
 #ifndef CMPMEM_MEM_CACHE_POLICY_HH

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 #include "faults/fault_injector.hh"
 #include "mem/functional_memory.hh"
@@ -24,10 +25,6 @@ DmaEngine::DmaEngine(int core_id, const DmaConfig &config,
       inFlight(std::max<std::size_t>(1, config.maxOutstanding), 0),
       ticketDone(kTicketWindow, 0)
 {
-    // Warm-up reservations (uncounted): typical command shapes stay
-    // within these, so steady-state streaming never allocates.
-    chunkScratch.reserve(256);
-    copyScratch.reserve(4096);
 }
 
 Tick
@@ -47,51 +44,25 @@ DmaEngine::issueSlot(Tick earliest)
     return start;
 }
 
+template <typename MemAt>
 DmaEngine::Ticket
-DmaEngine::reserveTicket()
+DmaEngine::transfer(Tick t, Dir dir, std::size_t n,
+                    std::uint32_t chunk_bytes, std::uint32_t ls_off,
+                    MemAt mem_at)
 {
-    Ticket tk = ticketNext++;
-    ticketDone[tk % kTicketWindow] = 0;
-    return tk;
-}
-
-void
-DmaEngine::stageChunks(std::size_t n)
-{
-    chunkScratch.clear();
-    if (n > chunkScratch.capacity()) {
-        ++hostAllocCount;
-        chunkScratch.reserve(std::max(n, 2 * chunkScratch.capacity()));
-    }
-}
-
-std::uint8_t *
-DmaEngine::copyBuffer(std::size_t bytes)
-{
-    if (bytes > copyScratch.capacity()) {
-        ++hostAllocCount;
-        copyScratch.reserve(std::max(bytes, 2 * copyScratch.capacity()));
-    }
-    copyScratch.resize(bytes);
-    return copyScratch.data();
-}
-
-void
-DmaEngine::executeChunks(Tick t, Ticket ticket,
-                         const std::vector<Chunk> &chunks, bool is_get)
-{
+    const bool is_get = (dir == Dir::Get);
     const int cluster = fabric.clusterOf(coreId);
     const std::uint32_t line = cfg.accessBytes;
     Tick done = t;
 
-    for (const auto &c : chunks) {
+    for (std::size_t i = 0; i < n; ++i) {
         // Split the chunk into line-granule accesses. The uncore
         // moves whole granules; partial granules still occupy a full
         // granule slot (the block-transfer inefficiency of strided
         // access the paper discusses).
-        Addr a = c.mem;
-        std::uint32_t ls_off = c.lsOff;
-        std::uint32_t remaining = c.bytes;
+        const Addr chunk_mem = mem_at(i);
+        Addr a = chunk_mem;
+        std::uint32_t remaining = chunk_bytes;
         while (remaining > 0) {
             Addr line_addr = a & ~Addr(line - 1);
             std::uint32_t in_line =
@@ -132,106 +103,41 @@ DmaEngine::executeChunks(Tick t, Ticket ticket,
             done = std::max(done, comp);
 
             a += in_line;
-            ls_off += in_line;
             remaining -= in_line;
         }
 
         // Functional copy, in issue order (see file comment).
-        std::uint8_t *buf = copyBuffer(c.bytes);
-        if (is_get) {
-            mem.read(c.mem, buf, c.bytes);
-            ls.write(c.lsOff, buf, c.bytes);
-        } else {
-            ls.read(c.lsOff, buf, c.bytes);
-            mem.write(c.mem, buf, c.bytes);
-        }
+        std::span<std::uint8_t> local =
+            ls.span(ls_off + std::uint32_t(i) * chunk_bytes, chunk_bytes);
+        if (is_get)
+            mem.read(chunk_mem, local.data(), local.size());
+        else
+            mem.write(chunk_mem, local.data(), local.size());
     }
 
+    Ticket tk = ticketNext++;
     ++stats.commands;
-    ticketDone[ticket % kTicketWindow] = done;
+    ticketDone[tk % kTicketWindow] = done;
     lastCompletion = std::max(lastCompletion, done);
-}
-
-DmaEngine::Ticket
-DmaEngine::get(Tick t, Addr mem_addr, std::uint32_t ls_off,
-               std::uint32_t bytes)
-{
-    Ticket tk = reserveTicket();
-    stageChunks(1);
-    chunkScratch.push_back({mem_addr, ls_off, bytes});
-    executeChunks(t, tk, chunkScratch, true);
     return tk;
 }
 
 DmaEngine::Ticket
-DmaEngine::put(Tick t, Addr mem_addr, std::uint32_t ls_off,
-               std::uint32_t bytes)
+DmaEngine::strided(Tick t, Dir dir, Addr mem_base, std::uint64_t mem_stride,
+                   std::uint32_t row_bytes, std::uint32_t rows,
+                   std::uint32_t ls_off)
 {
-    Ticket tk = reserveTicket();
-    stageChunks(1);
-    chunkScratch.push_back({mem_addr, ls_off, bytes});
-    executeChunks(t, tk, chunkScratch, false);
-    return tk;
+    return transfer(t, dir, rows, row_bytes, ls_off, [&](std::size_t r) {
+        return mem_base + Addr(r) * mem_stride;
+    });
 }
 
 DmaEngine::Ticket
-DmaEngine::getStrided(Tick t, Addr mem_base, std::uint64_t mem_stride,
-                      std::uint32_t row_bytes, std::uint32_t rows,
-                      std::uint32_t ls_off)
+DmaEngine::indexed(Tick t, Dir dir, const std::vector<Addr> &addrs,
+                   std::uint32_t elem_bytes, std::uint32_t ls_off)
 {
-    Ticket tk = reserveTicket();
-    stageChunks(rows);
-    for (std::uint32_t r = 0; r < rows; ++r) {
-        chunkScratch.push_back({mem_base + Addr(r) * mem_stride,
-                                ls_off + r * row_bytes, row_bytes});
-    }
-    executeChunks(t, tk, chunkScratch, true);
-    return tk;
-}
-
-DmaEngine::Ticket
-DmaEngine::putStrided(Tick t, Addr mem_base, std::uint64_t mem_stride,
-                      std::uint32_t row_bytes, std::uint32_t rows,
-                      std::uint32_t ls_off)
-{
-    Ticket tk = reserveTicket();
-    stageChunks(rows);
-    for (std::uint32_t r = 0; r < rows; ++r) {
-        chunkScratch.push_back({mem_base + Addr(r) * mem_stride,
-                                ls_off + r * row_bytes, row_bytes});
-    }
-    executeChunks(t, tk, chunkScratch, false);
-    return tk;
-}
-
-DmaEngine::Ticket
-DmaEngine::getIndexed(Tick t, const std::vector<Addr> &addrs,
-                      std::uint32_t elem_bytes, std::uint32_t ls_off)
-{
-    Ticket tk = reserveTicket();
-    stageChunks(addrs.size());
-    std::uint32_t off = ls_off;
-    for (Addr a : addrs) {
-        chunkScratch.push_back({a, off, elem_bytes});
-        off += elem_bytes;
-    }
-    executeChunks(t, tk, chunkScratch, true);
-    return tk;
-}
-
-DmaEngine::Ticket
-DmaEngine::putIndexed(Tick t, const std::vector<Addr> &addrs,
-                      std::uint32_t elem_bytes, std::uint32_t ls_off)
-{
-    Ticket tk = reserveTicket();
-    stageChunks(addrs.size());
-    std::uint32_t off = ls_off;
-    for (Addr a : addrs) {
-        chunkScratch.push_back({a, off, elem_bytes});
-        off += elem_bytes;
-    }
-    executeChunks(t, tk, chunkScratch, false);
-    return tk;
+    return transfer(t, dir, addrs.size(), elem_bytes, ls_off,
+                    [&](std::size_t i) { return addrs[i]; });
 }
 
 Tick

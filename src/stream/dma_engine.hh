@@ -49,7 +49,6 @@ struct DmaCounters
     std::uint64_t accesses = 0;
     std::uint64_t bytesRead = 0;
     std::uint64_t bytesWritten = 0;
-    std::uint64_t waits = 0;
 };
 
 /**
@@ -71,38 +70,29 @@ class DmaEngine : public Diagnosable
      */
     void setFaultInjector(FaultInjector *fi) { faults = fi; }
 
-    /** Sequential memory -> local store. @return completion ticket. */
-    Ticket get(Tick t, Addr mem_addr, std::uint32_t ls_off,
-               std::uint32_t bytes);
-
-    /** Sequential local store -> memory. */
-    Ticket put(Tick t, Addr mem_addr, std::uint32_t ls_off,
-               std::uint32_t bytes);
-
-    /**
-     * Strided gather: @p rows rows of @p row_bytes, consecutive rows
-     * @p mem_stride apart in memory, packed densely into the local
-     * store at @p ls_off.
-     */
-    Ticket getStrided(Tick t, Addr mem_base, std::uint64_t mem_stride,
-                      std::uint32_t row_bytes, std::uint32_t rows,
-                      std::uint32_t ls_off);
-
-    /** Strided scatter: the inverse of getStrided. */
-    Ticket putStrided(Tick t, Addr mem_base, std::uint64_t mem_stride,
-                      std::uint32_t row_bytes, std::uint32_t rows,
-                      std::uint32_t ls_off);
+    /** Transfer direction: memory -> local store, or the reverse. */
+    enum class Dir : bool
+    {
+        Get,
+        Put,
+    };
 
     /**
-     * Indexed gather: fetch @p elem_bytes at each address in
-     * @p addrs, packed densely into the local store at @p ls_off.
+     * Strided transfer: @p rows rows of @p row_bytes, consecutive
+     * rows @p mem_stride apart in memory, packed densely in the local
+     * store from @p ls_off. A sequential transfer is one row.
+     * @return completion ticket.
      */
-    Ticket getIndexed(Tick t, const std::vector<Addr> &addrs,
-                      std::uint32_t elem_bytes, std::uint32_t ls_off);
+    Ticket strided(Tick t, Dir dir, Addr mem_base, std::uint64_t mem_stride,
+                   std::uint32_t row_bytes, std::uint32_t rows,
+                   std::uint32_t ls_off);
 
-    /** Indexed scatter. */
-    Ticket putIndexed(Tick t, const std::vector<Addr> &addrs,
-                      std::uint32_t elem_bytes, std::uint32_t ls_off);
+    /**
+     * Indexed gather/scatter: @p elem_bytes at each address in
+     * @p addrs, packed densely in the local store from @p ls_off.
+     */
+    Ticket indexed(Tick t, Dir dir, const std::vector<Addr> &addrs,
+                   std::uint32_t elem_bytes, std::uint32_t ls_off);
 
     /**
      * Completion tick of @p ticket. @pre ticket was returned here.
@@ -119,9 +109,6 @@ class DmaEngine : public Diagnosable
 
     const DmaCounters &counters() const { return stats; }
 
-    /** Host heap allocations past the warm-up reservations. */
-    std::uint64_t hostAllocs() const { return hostAllocCount; }
-
     /** Completion-ring depth (see completionTick()). */
     static constexpr std::size_t kTicketWindow = 4096;
 
@@ -129,34 +116,17 @@ class DmaEngine : public Diagnosable
     std::string diagnose() const override;
 
   private:
-    /** One contiguous piece of a transfer's memory-side footprint. */
-    struct Chunk
-    {
-        Addr mem;
-        std::uint32_t lsOff;
-        std::uint32_t bytes;
-    };
-
-    /** Append a placeholder completion slot for a new command. */
-    Ticket reserveTicket();
-
     /**
-     * Run one command's chunks through the engine and uncore,
-     * recording the completion under @p ticket.
+     * Run one command of @p n chunks of @p chunk_bytes each through
+     * the engine and uncore, chunk i at memory address mem_at(i) and
+     * local-store offset ls_off + i * chunk_bytes.
      */
-    void executeChunks(Tick t, Ticket ticket,
-                       const std::vector<Chunk> &chunks, bool is_get);
+    template <typename MemAt>
+    Ticket transfer(Tick t, Dir dir, std::size_t n,
+                    std::uint32_t chunk_bytes, std::uint32_t ls_off,
+                    MemAt mem_at);
 
     Tick issueSlot(Tick earliest);
-
-    /**
-     * Clear the chunk scratch list and make room for @p n chunks;
-     * growth past the warm-up reservation counts a host allocation.
-     */
-    void stageChunks(std::size_t n);
-
-    /** Reusable functional-copy bounce buffer of @p bytes. */
-    std::uint8_t *copyBuffer(std::size_t bytes);
 
     int coreId;
     DmaConfig cfg;
@@ -181,11 +151,6 @@ class DmaEngine : public Diagnosable
     /** Completion ring indexed by ticket % kTicketWindow. */
     std::vector<Tick> ticketDone;
     Ticket ticketNext = 0;
-
-    /** Reusable command staging and functional-copy buffers. */
-    std::vector<Chunk> chunkScratch;
-    std::vector<std::uint8_t> copyScratch;
-    std::uint64_t hostAllocCount = 0;
 
     Tick lastCompletion = 0;
     DmaCounters stats;

@@ -19,18 +19,4 @@ LocalStore::throwOutOfRange(std::uint32_t offset, std::size_t n) const
                   offset, n, bytes.size());
 }
 
-void
-LocalStore::read(std::uint32_t offset, void *dst, std::size_t n) const
-{
-    checkRange(offset, n);
-    std::memcpy(dst, bytes.data() + offset, n);
-}
-
-void
-LocalStore::write(std::uint32_t offset, const void *src, std::size_t n)
-{
-    checkRange(offset, n);
-    std::memcpy(bytes.data() + offset, src, n);
-}
-
 } // namespace cmpmem

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -30,9 +31,17 @@ class LocalStore
 
     std::uint32_t size() const { return std::uint32_t(bytes.size()); }
 
-    /** Raw byte access (bounds-checked; overruns are workload bugs). */
-    void read(std::uint32_t offset, void *dst, std::size_t n) const;
-    void write(std::uint32_t offset, const void *src, std::size_t n);
+    /**
+     * The @p n bytes from @p offset, for the DMA engine's bulk
+     * copies. Bounds-checked like every access: an overrun is a
+     * workload bug, raised as SimErrorKind::Model.
+     */
+    std::span<std::uint8_t>
+    span(std::uint32_t offset, std::size_t n)
+    {
+        checkRange(offset, n);
+        return {bytes.data() + offset, n};
+    }
 
     /**
      * Scalar access, one per lsRead/lsWrite: the bounds check and the
@@ -57,10 +66,6 @@ class LocalStore
         checkRange(offset, sizeof(T));
         std::memcpy(bytes.data() + offset, &v, sizeof(T));
     }
-
-    /** Direct pointers for the DMA engine's bulk copies. */
-    std::uint8_t *data() { return bytes.data(); }
-    const std::uint8_t *data() const { return bytes.data(); }
 
   private:
     void

@@ -200,7 +200,6 @@ CmpSystem::collectStats() const
         rs.dmaAccesses += dma->counters().accesses;
         rs.dmaBytesRead += dma->counters().bytesRead;
         rs.dmaBytesWritten += dma->counters().bytesWritten;
-        rs.missPathAllocs += dma->hostAllocs();
     }
 
     rs.fabric = fab->counters();

@@ -91,12 +91,11 @@ struct RunStats
     std::uint64_t calendarBucketShift = 0;
 
     /**
-     * Miss-path host allocations (DESIGN.md §18): heap allocations
-     * taken by MSHR waiter pools and DMA scratch buffers past their
-     * warm-up reservations, summed over all cores. Host-side only
-     * (never enters toStatSet()). A DMA command shape larger than the
-     * warm-up reservation may grow its engine's scratch once; steady
-     * state never allocates.
+     * Miss-path host allocations (DESIGN.md §18): growth of the MSHR
+     * waiter pools past their construction-time reservation, summed
+     * over all L1s. Host-side only (never enters toStatSet()). DMA
+     * commands copy in place and never allocate, so steady state
+     * reads 0.
      */
     std::uint64_t missPathAllocs = 0;
 

@@ -173,8 +173,9 @@ class StressWorkload : public Workload
                     ops.push_back({OpKind::Atomic,
                                    counters.at(c * kWordsPerLine), 0});
                 } else if (roll < 90) {
-                    // Bulk prefetch of a few private lines (no-op on
-                    // the streaming model).
+                    // Bulk prefetch of a few private lines (on the
+                    // streaming model too, into the core's small
+                    // cache).
                     ops.push_back(
                         {OpKind::Prefetch, priv.at(
                              std::uint64_t(tid) * kPrivateLines *

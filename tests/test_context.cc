@@ -2,9 +2,9 @@
  * @file
  * Context-level API tests: awaitable semantics, functional values,
  * stall classification per operation type, DMA issue overheads, the
- * PFS hint plumbing, model-specific routing (atomics at the L2 in
- * STR, through the coherent L1 in CC), and atomic arbitration
- * across cores.
+ * PFS hint plumbing, prefetchBlock's per-line issue cost,
+ * model-specific routing (atomics at the L2 in STR, through the
+ * coherent L1 in CC), and atomic arbitration across cores.
  */
 
 #include <gtest/gtest.h>
@@ -163,6 +163,32 @@ TEST(Context, DmaStridedThroughContext)
     }
     RunStats rs = sys.collectStats();
     EXPECT_EQ(rs.coreTotal.dmaCommands, 2u);
+}
+
+KernelTask
+prefetchBlockKernel(Context &ctx, Addr a, std::uint32_t bytes)
+{
+    co_await ctx.prefetchBlock(a, bytes);
+}
+
+TEST(Context, PrefetchBlockStepsByConfiguredLine)
+{
+    // One issue bundle per line of the core's L1 geometry: a 4 KB
+    // block is 128 lines at 32 bytes and 64 lines at 64 bytes.
+    for (std::uint32_t line : {32u, 64u}) {
+        SystemConfig cfg = makeConfig(1, MemModel::CC);
+        cfg.lineBytes = line;
+        CmpSystem sys(cfg);
+        Addr a = sys.mem().alloc(4096, line);
+        sys.bindKernel(0, prefetchBlockKernel(sys.context(0), a, 4096));
+        sys.simulate();
+        RunStats rs = sys.collectStats();
+        const std::uint64_t lines = 4096 / line;
+        EXPECT_EQ(rs.icacheFetches, lines) << line << "-byte lines";
+        EXPECT_EQ(rs.coreTotal.usefulTicks,
+                  lines * cfg.coreClock().period())
+            << line << "-byte lines";
+    }
 }
 
 KernelTask

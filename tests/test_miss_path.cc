@@ -1,14 +1,13 @@
 /**
  * @file
  * The allocation-free miss path (DESIGN.md §18): MSHR waiter pools
- * and DMA scratch buffers are reserved at construction, so miss
- * traffic in steady state never touches the host heap. Each
+ * are reserved at construction and DMA commands copy in place, so
+ * miss traffic in steady state never touches the host heap. Each
  * transaction-shape case runs one miss-heavy kernel on a full
  * CmpSystem, checks that the path it targets was really taken, and
- * requires RunStats::missPathAllocs == 0. The DMA scratch case pins
- * the other half of the contract: a command shape larger than the
- * warm-up reservation grows the scratch once, and its repeat does
- * not.
+ * requires RunStats::missPathAllocs == 0. The DMA cases include fem's
+ * command shape, a 1,024-element indexed gather, which used to grow a
+ * staging buffer once per engine.
  */
 
 #include <gtest/gtest.h>
@@ -159,39 +158,32 @@ TEST(MissPath, DoubleBufferedDmaDoesNotAllocate)
     EXPECT_EQ(rs.missPathAllocs, 0u);
 }
 
-/** Issue each indexed gather in turn, noting the engine's counter. */
 KernelTask
-gatherKernel(Context &ctx, const std::vector<std::vector<Addr>> &gathers,
-             std::vector<std::uint64_t> &allocs)
+gatherKernel(Context &ctx, const std::vector<Addr> &addrs, int repeats)
 {
-    const DmaEngine &dma = *ctx.core().dma();
-    for (const std::vector<Addr> &addrs : gathers) {
+    for (int i = 0; i < repeats; ++i)
         co_await ctx.dmaWait(co_await ctx.dmaGetIndexed(addrs, 4, 0));
-        allocs.push_back(dma.hostAllocs());
-    }
 }
 
 /**
- * A 256-element gather fits the engine's warm-up chunk reservation.
- * fem's indexed gathers (up to 1,024 four-byte elements per block)
- * outgrow it: the first such command grows the scratch once, and its
- * repeat reuses it.
+ * fem's command shape: an indexed gather of 1,024 four-byte elements,
+ * one per line, issued twice on one engine. The engine walks the
+ * addresses in place and copies each element straight into the local
+ * store, so no command length allocates.
  */
-TEST(MissPath, DmaScratchGrowsOncePerNewCommandShape)
+TEST(MissPath, LargeIndexedGatherDoesNotAllocate)
 {
     constexpr std::uint64_t kElems = 1024;
     CmpSystem sys(makeConfig(1, MemModel::STR));
     auto buf = ArrayRef<std::uint8_t>::alloc(sys.mem(), kElems * kLineBytes);
-    std::vector<Addr> large;
+    std::vector<Addr> addrs;
     for (std::uint64_t i = 0; i < kElems; ++i)
-        large.push_back(buf.at(i * kLineBytes));
-    const std::vector<Addr> warm(large.begin(), large.begin() + 256);
-    const std::vector<std::vector<Addr>> gathers = {warm, large, large};
-    std::vector<std::uint64_t> allocs;
-    sys.bindKernel(0, gatherKernel(sys.context(0), gathers, allocs));
+        addrs.push_back(buf.at(i * kLineBytes));
+    sys.bindKernel(0, gatherKernel(sys.context(0), addrs, 2));
     sys.simulate();
-    EXPECT_EQ(allocs, (std::vector<std::uint64_t>{0, 1, 1}));
-    EXPECT_EQ(sys.collectStats().missPathAllocs, 1u);
+    RunStats rs = sys.collectStats();
+    EXPECT_EQ(rs.dmaAccesses, 2 * kElems);
+    EXPECT_EQ(rs.missPathAllocs, 0u);
 }
 
 } // namespace

@@ -2,7 +2,7 @@
  * @file
  * Cache-policy trait tests (DESIGN.md §15): insertion semantics of
  * MIP/LIP/BIP against a single-set array, BIP's deterministic
- * bimodal choice replayed against a replica Rng, peek()'s
+ * bimodal choice replayed against a replica Rng, lookup()'s
  * side-effect freedom, the Markov and stream-buffer prefetch
  * engines, and serial-vs-parallel bit-identity of a non-default
  * policy sweep.
@@ -110,9 +110,9 @@ TEST(InsertionPolicy, LipInsertsAtStackBottom)
     arr.allocate(0x2000, v).state = MesiState::Exclusive;
     ASSERT_TRUE(v.valid);
     EXPECT_EQ(v.addr, 0x1000u); // the newcomer thrashes in place
-    EXPECT_NE(arr.peek(0x20), nullptr);
-    EXPECT_NE(arr.peek(0x40), nullptr);
-    EXPECT_NE(arr.peek(0x60), nullptr);
+    EXPECT_NE(arr.lookup(0x20), nullptr);
+    EXPECT_NE(arr.lookup(0x40), nullptr);
+    EXPECT_NE(arr.lookup(0x60), nullptr);
 }
 
 TEST(InsertionPolicy, TouchPromotesUnderLip)
@@ -128,7 +128,7 @@ TEST(InsertionPolicy, TouchPromotesUnderLip)
     EXPECT_EQ(v.addr, 0u);
     arr.allocate(0x2000, v).state = MesiState::Exclusive;
     EXPECT_EQ(v.addr, 0x1000u);
-    EXPECT_NE(arr.peek(0x40), nullptr);
+    EXPECT_NE(arr.lookup(0x40), nullptr);
 }
 
 TEST(InsertionPolicy, BipMatchesReplicaRngExactly)
@@ -195,20 +195,18 @@ TEST(InsertionPolicy, BipSameSeedSameVictims)
     EXPECT_NE(victims(11), victims(12)); // the seed actually matters
 }
 
-TEST(CacheArrayPeek, NoSideEffectsOnReplacement)
+TEST(CacheArrayLookup, NoSideEffectsOnReplacement)
 {
-    // peek() (and the const lookup alias) must not promote: under
-    // LIP the victim is way 0 regardless of how often the other
-    // lines are peeked. The non-const lookup may move the MRU-way
-    // hint, but the hint is host-only and must not change victims
-    // either.
+    // lookup() must not promote, through either overload: under LIP
+    // every fill stamps 0, so way 0 stays the victim however often it
+    // is probed (a promotion would hand the eviction to way 1).
     CacheArray arr(oneSet(), policyCfg(ReplacementPolicy::LIP));
     fillSet(arr);
     const CacheArray &carr = arr;
     for (int k = 0; k < 8; ++k) {
-        EXPECT_NE(arr.peek(0), nullptr);
-        EXPECT_NE(carr.lookup(0x20), nullptr);
-        EXPECT_NE(arr.lookup(0x60), nullptr); // hint moves, stamps don't
+        ASSERT_NE(carr.lookup(0), nullptr);
+        EXPECT_EQ(arr.lookup(0), carr.lookup(0));
+        EXPECT_EQ(arr.lookup(0x60), carr.lookup(0x60));
     }
     CacheArray::Victim v;
     arr.allocate(0x1000, v);

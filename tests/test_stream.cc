@@ -1,14 +1,16 @@
 /**
  * @file
  * Streaming substrate tests: local store functional behaviour and
- * DMA engine correctness (sequential, strided, indexed) and timing
- * (outstanding-access limit, channel contention).
+ * DMA engine correctness (sequential, strided, indexed, and commands
+ * that overrun the local store) and timing (outstanding-access limit,
+ * channel contention).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,22 @@ namespace cmpmem
 namespace
 {
 
+/** Run @p access, which must overrun the local store. */
+template <typename Access>
+void
+expectOutOfRange(Access &&access)
+{
+    try {
+        access();
+        ADD_FAILURE() << "out-of-range access accepted";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), SimErrorKind::Model);
+        EXPECT_NE(std::string(e.what()).find("out of range"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(LocalStore, RoundTripAndBounds)
 {
     LocalStore ls(1024);
@@ -37,17 +55,6 @@ TEST(LocalStore, RoundTripAndBounds)
     // workload bug, raised as a model error.
     ls.write<std::uint32_t>(1020, 7);
     EXPECT_EQ(ls.read<std::uint32_t>(1020), 7u);
-    auto expectOutOfRange = [](auto &&access) {
-        try {
-            access();
-            ADD_FAILURE() << "out-of-range access accepted";
-        } catch (const SimError &e) {
-            EXPECT_EQ(e.kind(), SimErrorKind::Model);
-            EXPECT_NE(std::string(e.what()).find("out of range"),
-                      std::string::npos)
-                << e.what();
-        }
-    };
     expectOutOfRange([&] { ls.read<std::uint32_t>(1021); });
     expectOutOfRange([&] { ls.write<std::uint32_t>(1021, 7); });
     expectOutOfRange([&] { ls.read<std::uint64_t>(0xfffffffcu); });
@@ -68,6 +75,29 @@ class DmaFixture : public testing::Test
                                           *ls);
     }
 
+    /** Sequential transfers: one strided row. */
+    DmaEngine::Ticket
+    get(Tick t, Addr mem_addr, std::uint32_t ls_off, std::uint32_t bytes)
+    {
+        return dma->strided(t, DmaEngine::Dir::Get, mem_addr, 0, bytes, 1,
+                            ls_off);
+    }
+
+    DmaEngine::Ticket
+    put(Tick t, Addr mem_addr, std::uint32_t ls_off, std::uint32_t bytes)
+    {
+        return dma->strided(t, DmaEngine::Dir::Put, mem_addr, 0, bytes, 1,
+                            ls_off);
+    }
+
+    /** A copy of every local-store byte. */
+    std::vector<std::uint8_t>
+    lsBytes()
+    {
+        std::span<std::uint8_t> all = ls->span(0, ls->size());
+        return {all.begin(), all.end()};
+    }
+
     FunctionalMemory mem;
     std::unique_ptr<DramChannel> dram;
     std::unique_ptr<L2Cache> l2;
@@ -83,15 +113,13 @@ TEST_F(DmaFixture, SequentialGetPutRoundTrip)
         data[i] = std::uint8_t(i);
     mem.write(0x1000, data.data(), data.size());
 
-    auto t1 = dma->get(0, 0x1000, 0, 256);
+    auto t1 = get(0, 0x1000, 0, 256);
     EXPECT_GT(dma->completionTick(t1), 0u);
-    std::uint8_t out[256];
-    ls->read(0, out, 256);
-    EXPECT_EQ(std::memcmp(out, data.data(), 256), 0);
+    EXPECT_EQ(std::memcmp(ls->span(0, 256).data(), data.data(), 256), 0);
 
     // Mutate in LS and put elsewhere.
     ls->write<std::uint8_t>(0, 0xff);
-    dma->put(dma->completionTick(t1), 0x2000, 0, 256);
+    put(dma->completionTick(t1), 0x2000, 0, 256);
     EXPECT_EQ(mem.read<std::uint8_t>(0x2000), 0xff);
     EXPECT_EQ(mem.read<std::uint8_t>(0x2001), 1);
 }
@@ -103,7 +131,7 @@ TEST_F(DmaFixture, StridedGatherPacksDensely)
         for (int b = 0; b < 8; ++b)
             mem.write<std::uint8_t>(0x4000 + Addr(r) * 64 + b,
                                     std::uint8_t(r * 16 + b));
-    dma->getStrided(0, 0x4000, 64, 8, 4, 100);
+    dma->strided(0, DmaEngine::Dir::Get, 0x4000, 64, 8, 4, 100);
     for (int r = 0; r < 4; ++r)
         for (int b = 0; b < 8; ++b)
             EXPECT_EQ(ls->read<std::uint8_t>(100 + r * 8 + b),
@@ -114,7 +142,7 @@ TEST_F(DmaFixture, StridedScatterInverse)
 {
     for (int i = 0; i < 32; ++i)
         ls->write<std::uint8_t>(std::uint32_t(i), std::uint8_t(i + 1));
-    dma->putStrided(0, 0x5000, 128, 8, 4, 0);
+    dma->strided(0, DmaEngine::Dir::Put, 0x5000, 128, 8, 4, 0);
     for (int r = 0; r < 4; ++r)
         for (int b = 0; b < 8; ++b)
             EXPECT_EQ(mem.read<std::uint8_t>(0x5000 + Addr(r) * 128 +
@@ -127,7 +155,7 @@ TEST_F(DmaFixture, IndexedGatherScatter)
     std::vector<Addr> addrs{0x7000, 0x7100, 0x7040};
     for (std::size_t i = 0; i < addrs.size(); ++i)
         mem.write<std::uint32_t>(addrs[i], std::uint32_t(1000 + i));
-    dma->getIndexed(0, addrs, 4, 0);
+    dma->indexed(0, DmaEngine::Dir::Get, addrs, 4, 0);
     for (std::size_t i = 0; i < addrs.size(); ++i)
         EXPECT_EQ(ls->read<std::uint32_t>(std::uint32_t(i) * 4),
                   std::uint32_t(1000 + i));
@@ -135,7 +163,7 @@ TEST_F(DmaFixture, IndexedGatherScatter)
     std::vector<Addr> dsts{0x8000, 0x8200};
     ls->write<std::uint32_t>(0, 7);
     ls->write<std::uint32_t>(4, 9);
-    dma->putIndexed(0, dsts, 4, 0);
+    dma->indexed(0, DmaEngine::Dir::Put, dsts, 4, 0);
     EXPECT_EQ(mem.read<std::uint32_t>(0x8000), 7u);
     EXPECT_EQ(mem.read<std::uint32_t>(0x8200), 9u);
 }
@@ -158,10 +186,11 @@ TEST_F(DmaFixture, PropertyRandomStridesMatchMemcpyOracle)
                 oracle[r * row_bytes + b] = v;
             }
         }
-        dma->getStrided(0, base, stride, row_bytes, rows, 512);
-        std::vector<std::uint8_t> got(rows * row_bytes);
-        ls->read(512, got.data(), got.size());
-        EXPECT_EQ(got, oracle) << "trial " << trial;
+        dma->strided(0, DmaEngine::Dir::Get, base, stride, row_bytes, rows,
+                     512);
+        std::span<std::uint8_t> got = ls->span(512, rows * row_bytes);
+        EXPECT_EQ(std::vector<std::uint8_t>(got.begin(), got.end()), oracle)
+            << "trial " << trial;
     }
 }
 
@@ -170,7 +199,7 @@ TEST_F(DmaFixture, OutstandingLimitThrottlesIssue)
     // A large transfer decomposes into many 32 B accesses; with only
     // 16 in flight the completion must exceed a naive lower bound of
     // full pipelining.
-    auto t = dma->get(0, 0x20000, 0, 16 * 1024);
+    auto t = get(0, 0x20000, 0, 16 * 1024);
     Tick done = dma->completionTick(t);
     // 512 accesses, 16 at a time: at least 32 "waves" of DRAM
     // occupancy (10 ns per 32 B at 3.2 GB/s).
@@ -181,8 +210,8 @@ TEST_F(DmaFixture, OutstandingLimitThrottlesIssue)
 
 TEST_F(DmaFixture, TicketsTrackIndividualCommands)
 {
-    auto t1 = dma->get(0, 0x1000, 0, 32);
-    auto t2 = dma->get(dma->completionTick(t1), 0x2000, 32, 4096);
+    auto t1 = get(0, 0x1000, 0, 32);
+    auto t2 = get(dma->completionTick(t1), 0x2000, 32, 4096);
     EXPECT_LT(dma->completionTick(t1), dma->completionTick(t2));
     EXPECT_EQ(dma->allDoneTick(), dma->completionTick(t2));
     EXPECT_EQ(dma->counters().commands, 2u);
@@ -192,13 +221,44 @@ TEST_F(DmaFixture, FullLinePutAvoidsL2Refill)
 {
     auto avoided = l2->refillsAvoided();
     ls->write<std::uint32_t>(0, 1);
-    dma->put(0, 0x30000, 0, 32); // exactly one full line
+    put(0, 0x30000, 0, 32); // exactly one full line
     EXPECT_EQ(l2->refillsAvoided(), avoided + 1);
 
     // A sub-line put must refill (read-modify-write at the L2).
     auto reads = dram->readBytes();
-    dma->put(dma->allDoneTick(), 0x31000, 0, 8);
+    put(dma->allDoneTick(), 0x31000, 0, 8);
     EXPECT_GT(dram->readBytes(), reads);
+}
+
+/** A single row of these bytes at this offset crosses the 24 KB end. */
+constexpr std::uint32_t kOverrunBytes = 256;
+constexpr std::uint32_t kOverrunOff = 24 * 1024 - kOverrunBytes / 2;
+
+TEST_F(DmaFixture, GetPastLocalStoreEndChangesNoLocalStoreByte)
+{
+    for (std::uint32_t i = 0; i < kOverrunBytes; ++i)
+        mem.write<std::uint8_t>(0x9000 + i, std::uint8_t(i + 1));
+    for (std::uint32_t i = 0; i < ls->size(); ++i)
+        ls->write<std::uint8_t>(i, std::uint8_t(i * 7));
+    const std::vector<std::uint8_t> before = lsBytes();
+    expectOutOfRange([&] { get(0, 0x9000, kOverrunOff, kOverrunBytes); });
+    EXPECT_EQ(lsBytes(), before);
+}
+
+TEST_F(DmaFixture, PutPastLocalStoreEndChangesNoMemoryByte)
+{
+    // The destination and a line either side of it.
+    constexpr Addr kDst = 0xa000, kLo = kDst - 32;
+    constexpr std::uint32_t kSpan = kOverrunBytes + 64;
+    for (std::uint32_t i = 0; i < kSpan; ++i)
+        mem.write<std::uint8_t>(kLo + i, std::uint8_t(i * 3));
+    for (std::uint32_t i = 0; i < ls->size(); ++i)
+        ls->write<std::uint8_t>(i, 0xee);
+    std::vector<std::uint8_t> before(kSpan), after(kSpan);
+    mem.read(kLo, before.data(), kSpan);
+    expectOutOfRange([&] { put(0, kDst, kOverrunOff, kOverrunBytes); });
+    mem.read(kLo, after.data(), kSpan);
+    EXPECT_EQ(after, before);
 }
 
 } // namespace
